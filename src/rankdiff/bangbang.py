@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, ParameterError, as_generator
-from .tails import gauss_tail, norm_cdf, norm_ppf
+from .tails import gauss_tail, log_norm_sf, norm_cdf, norm_ppf
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,12 @@ def atom_mass(p: ModelParams, y: float, t: float) -> float:
         return 0.0
     st = np.sqrt(t)
     lam = p.lam
-    return float(norm_cdf((y - lam * t) / st) - np.exp(2.0 * lam * y) * norm_cdf(-(y + lam * t) / st))
+    growth = 2.0 * lam * y
+    if growth <= 700.0:
+        reflected = np.exp(growth) * norm_cdf(-(y + lam * t) / st)
+    else:  # exp(2 lam y) overflows near 709: take the product in log space
+        reflected = np.exp(growth + log_norm_sf((y + lam * t) / st))
+    return float(norm_cdf((y - lam * t) / st) - reflected)
 
 
 @dataclass(frozen=True)

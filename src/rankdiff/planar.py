@@ -152,30 +152,23 @@ def gap_path_of(path: PlanarPath) -> YPath:
 # Euler simulation
 # ---------------------------------------------------------------------------
 
-def _system_step(kind, p: ModelParams, up, dz1, dz2):
-    """One-step noise contributions (to X1, to X2) for each system."""
-    rho, sg = p.rho, p.sigma
-    if kind == "B":
-        return np.where(up, rho, sg) * dz1, np.where(up, sg, rho) * dz2
-    if kind == "W":
-        return (
-            np.where(up, rho * dz1, sg * dz2),
-            np.where(up, -sg * dz2, -rho * dz1),
-        )
-    if kind == "V":
-        return (
-            np.where(up, rho * dz1, sg * dz2),
-            np.where(up, sg * dz2, rho * dz1),
-        )
-    raise ParameterError(f"unknown system kind {kind!r}")
+def _step_table(kind: SystemKind, p: ModelParams, dt: float):
+    """Per-state Euler step of a system: (drift, coef, src), row i for X_{i+1}.
 
-
-def _resolve_kind(kind: SystemKind):
+    Column s is the state: 0 = down (x1 <= x2, ties included), 1 = up.  A step
+    is x_i + drift[i, s] + noise_i.  B, W and V are signed permutations,
+    noise_i = coef[i, s] * dz[src[i, s]]; a custom square root has two terms,
+    noise_i = coef[i, 0, s] * dz[0] + coef[i, 1, s] * dz[1], and src is None.
+    """
+    g, h, rho, sg = p.g, p.h, p.rho, p.sigma
+    drift = np.array([[g * dt, -h * dt], [-h * dt, g * dt]])
     if isinstance(kind, SqrtConfig):
-        return "custom", kind
-    if kind in _NAMED_KINDS:
-        return kind, None
-    raise ParameterError(f"system kind must be one of {_NAMED_KINDS} or a SqrtConfig, got {kind!r}")
+        return drift, np.stack([kind.sigma_minus, kind.sigma_plus], axis=-1), None
+    if kind not in _NAMED_KINDS:
+        raise ParameterError(f"system kind must be one of {_NAMED_KINDS} or a SqrtConfig, got {kind!r}")
+    coef = [[sg, rho], [-rho, -sg] if kind == "W" else [rho, sg]]
+    src = [[0, 0], [1, 1]] if kind == "B" else [[1, 0], [0, 1]]
+    return drift, np.array(coef), np.array(src, dtype=np.intp)
 
 
 def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
@@ -186,10 +179,10 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
     sign(0) = -1, so the diagonal belongs to the down state.  `increments`
     (shape (n_steps, 2)) overrides the raw driving noise.
     """
-    tag, cfg = _resolve_kind(kind)
     if not T > 0 or n_steps < 1:
         raise ParameterError("require T > 0 and n_steps >= 1")
     dt = T / n_steps
+    drift, coef, src = _step_table(kind, p, dt)
     if increments is None:
         rng = as_generator(seed)
         increments = rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
@@ -197,50 +190,57 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, 2):
             raise ParameterError("increments must have shape (n_steps, 2)")
-    x1 = np.empty(n_steps + 1)
-    x2 = np.empty(n_steps + 1)
-    x1[0], x2[0] = s0.x1, s0.x2
-    g, h = p.g, p.h
-    for k in range(n_steps):
-        up = x1[k] > x2[k]
-        d1 = (-h if up else g) * dt
-        d2 = (g if up else -h) * dt
-        if tag == "custom":
-            sig = cfg.sigma_plus if up else cfg.sigma_minus
-            noise = sig @ increments[k]
-            x1[k + 1] = x1[k] + d1 + noise[0]
-            x2[k + 1] = x2[k] + d2 + noise[1]
+    d1, d2 = drift.tolist()
+    if src is None:  # a 2x2 matmul rounds differently from two products and a sum
+        sig = (kind.sigma_minus, kind.sigma_plus)
+    else:
+        (c1, c2), (j1, j2) = coef.tolist(), src.tolist()
+    x1, x2 = float(s0.x1), float(s0.x2)
+    xs1, xs2 = [x1], [x2]
+    for k, dz in enumerate(increments.tolist()):
+        s = x1 > x2
+        if src is None:
+            n1, n2 = (sig[s] @ increments[k]).tolist()
         else:
-            n1, n2 = _system_step(tag, p, up, increments[k, 0], increments[k, 1])
-            x1[k + 1] = x1[k] + d1 + n1
-            x2[k + 1] = x2[k] + d2 + n2
+            n1, n2 = c1[s] * dz[j1[s]], c2[s] * dz[j2[s]]
+        x1, x2 = x1 + d1[s] + n1, x2 + d2[s] + n2
+        xs1.append(x1)
+        xs2.append(x2)
     times = np.linspace(0.0, T, n_steps + 1)
-    return PlanarPath(p, times, x1, x2, tag, increments, cfg)
+    tag, cfg = ("custom", kind) if src is None else (kind, None)
+    return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, cfg)
 
 
 def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: float,
                          n_steps: int, n_paths: int, seed=None):
-    """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized."""
-    tag, cfg = _resolve_kind(kind)
+    """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized; for B, W
+    and V with n_paths = 1, the end of the path euler_simulate draws from the same seed."""
+    if not t > 0 or n_steps < 1 or n_paths < 1:
+        raise ParameterError("require t > 0, n_steps >= 1 and n_paths >= 1")
     rng = as_generator(seed)
     dt = t / n_steps
     sq = np.sqrt(dt)
-    x1 = np.full(n_paths, s0.x1)
-    x2 = np.full(n_paths, s0.x2)
-    g, h = p.g, p.h
+    drift, coef, src = _step_table(kind, p, dt)
+    x1, x2 = np.full(n_paths, float(s0.x1)), np.full(n_paths, float(s0.x2))
+    dz, noise = np.empty((2, n_paths)), np.empty((2, n_paths))  # noise[s]: noise in state s
+    s, pick = np.empty(n_paths, dtype=np.intp), np.empty(n_paths, dtype=np.intp)
+    buf, lanes = np.empty(n_paths), np.arange(n_paths)
     for _ in range(n_steps):
-        up = x1 > x2
-        dz1 = rng.standard_normal(n_paths) * sq
-        dz2 = rng.standard_normal(n_paths) * sq
-        if tag == "custom":
-            noise1 = np.where(up, cfg.sigma_plus[0, 0], cfg.sigma_minus[0, 0]) * dz1 \
-                + np.where(up, cfg.sigma_plus[0, 1], cfg.sigma_minus[0, 1]) * dz2
-            noise2 = np.where(up, cfg.sigma_plus[1, 0], cfg.sigma_minus[1, 0]) * dz1 \
-                + np.where(up, cfg.sigma_plus[1, 1], cfg.sigma_minus[1, 1]) * dz2
-        else:
-            noise1, noise2 = _system_step(tag, p, up, dz1, dz2)
-        x1 = x1 + np.where(up, -h, g) * dt + noise1
-        x2 = x2 + np.where(up, g, -h) * dt + noise2
+        rng.standard_normal(out=dz)  # row-major fill: the same stream as dz1 then dz2
+        dz *= sq
+        np.greater(x1, x2, out=s)
+        np.multiply(s, n_paths, out=pick)
+        pick += lanes
+        for i, x in enumerate((x1, x2)):
+            # mode="clip" is np.take's fast path; every index here is in range
+            x += np.take(drift[i], s, out=buf, mode="clip")
+            for state in (0, 1):
+                if src is None:
+                    np.multiply(coef[i, 0, state], dz[0], out=noise[state])
+                    noise[state] += np.multiply(coef[i, 1, state], dz[1], out=buf)
+                else:
+                    np.multiply(coef[i, state], dz[src[i, state]], out=noise[state])
+            x += np.take(noise, pick, out=buf, mode="clip")
     return x1, x2
 
 

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from rankdiff import bangbang
-from rankdiff.core import ParameterError, SeedSpec, validate_params
+from rankdiff import bangbang, planar
+from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
 
 
 def params(lam, rho=1.0, sigma=0.0):
@@ -266,6 +267,27 @@ def test_atom_mass_matches_no_crossing_frequency():
     se = math.sqrt(mass * (1 - mass) / n_paths)
     # Euler overestimates survival by O(sqrt(dt)) (no intra-step minimum)
     assert mass - 3 * se <= freq <= mass + 3 * se + 3 * math.sqrt(t / n_steps)
+
+
+def test_atom_mass_far_start_is_finite_and_sampler_converges():
+    # exp(2 lam y) alone overflows here; the mass is 1 to double precision
+    p = params(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mass = bangbang.atom_mass(p, 200.0, 1.0)
+        d = planar.exact_sample_terminal(p, InitialState(200.0, 0.0), 1.0, 2000, SeedSpec(3))
+    assert math.isfinite(mass) and abs(mass - 1.0) <= 1e-12
+    assert np.isfinite(d.x1).all() and np.isfinite(d.x2).all()
+    assert d.atom_fraction >= 0.99
+
+
+def test_atom_mass_continuous_across_log_space_switch():
+    # 2 lam y = 700 at y = 175; with y = lam t the reflected term is about 0.01
+    p = params(2.0)
+    below = bangbang.atom_mass(p, 175.0 - 1e-9, 87.5)
+    above = bangbang.atom_mass(p, 175.0 + 1e-9, 87.5)
+    assert 0.0 < below < 1.0
+    assert abs(above - below) <= 1e-9
 
 
 def test_domain_errors():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -230,3 +231,97 @@ def test_system_difference_distribution_consistent_across_kinds():
         gaps[kind] = x1 - x2
     assert ks_two_sample(gaps["B"], gaps["W"]) <= 0.015
     assert ks_two_sample(gaps["B"], gaps["V"]) <= 0.015
+
+
+# ---------------------------------------------------------------------------
+# golden digests and cross-kernel agreement
+# ---------------------------------------------------------------------------
+
+GOLDEN_PARAMS = [(1.0, 0.5, 0.8, 0.6), (1.0, 1.0, 1.0, 0.0), (0.0, 0.7, 0.0, 1.0)]
+GOLDEN_STARTS = [InitialState(0, 0), InitialState(0.3, -0.1), InitialState(-0.2, 0.4)]
+
+
+def _golden_kind(label, p):
+    return classifier.build_config(p, -1, 1, 1.2, -0.4) if label == "custom" else label
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        assert a.dtype == np.float64
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _golden_arrays(kernel, label):
+    for i, raw in enumerate(GOLDEN_PARAMS):
+        p = validate_params(*raw)
+        kind = _golden_kind(label, p)
+        for j, s0 in enumerate(GOLDEN_STARTS):
+            seed = SeedSpec(20240601, 10 * i + j)
+            if kernel == "simulate":
+                path = planar.euler_simulate(kind, p, s0, 1.0, 300, seed)
+                yield from (path.x1_values, path.x2_values, path.raw_increments)
+            elif kernel == "batch":
+                yield from planar.euler_terminal_batch(kind, p, s0, 0.7, 40, 257, seed)
+            else:
+                inc = seed.generator().standard_normal((120, 2)) * 0.1
+                path = planar.euler_simulate(kind, p, s0, 1.2, 120, increments=inc)
+                yield from (path.x1_values, path.x2_values)
+
+
+# sha256 of the float64 outputs, recorded before the kernels were rewritten
+# around the per-state step table; any change of a single bit shows here
+GOLDEN = {
+    "simulate-B": "e624176e8d1e5103d4931834c963d72f0807f0bf92e35f94e9534685cbeb3d34",
+    "simulate-W": "be9fc9f5bc00b92d3b8880a71850fa82b7918958aa8dcc9c2d23e1717a23dc9c",
+    "simulate-V": "ba9685aa17a002c1c2e204203f45dc67ba282c0e32964d0833f98425f585a46e",
+    "simulate-custom": "5195eb09ab7e63c2e9a944e292599054c2568835ba2e977db2ab5fe6457c73a3",
+    "batch-B": "6fe99deddacb94fabf1b545765011a0bcf05a68988ceac27979ec03ac5dec93b",
+    "batch-W": "f1ab41733dab10298a7f620b4f6b630fd6c277977264eec4a181960508fd0eba",
+    "batch-V": "9de981777ac5edb4448f1d18daae90f30e28306f18af76f1e0ec2c7d56acc0a2",
+    "batch-custom": "22eecc49a615f72c0df7b1e1f1e8a16134ce34dfbec76bb8595fc7c9175dd496",
+    "increments-B": "ae10e8468df64c9596fdf65389608bd43aa85e0e970124da69d5f31c06957f31",
+    "increments-W": "297fe968ef82d837e42b6026f50b68cdbe5df308efe5db6621ed59534ddbd2cd",
+    "increments-V": "ebb0442e8fd98036948846ada0a408b90ef141d8333e94bb88f68d603b1f960d",
+    "increments-custom": "52d63daac7e8d5d8cb5a9ecbc7870dc5c580080857db42742d198575213eb10d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_euler_kernels_match_golden_digest(key):
+    kernel, label = key.split("-")
+    assert _sha256(_golden_arrays(kernel, label)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("label", ALL_KINDS + ["custom"])
+@pytest.mark.parametrize("raw", GOLDEN_PARAMS)
+@pytest.mark.parametrize("s0", GOLDEN_STARTS)
+def test_batch_of_one_is_the_single_path_terminal_point(label, raw, s0):
+    p = validate_params(*raw)
+    kind = _golden_kind(label, p)
+    path = planar.euler_simulate(kind, p, s0, 0.9, 500, SeedSpec(61))
+    x1, x2 = planar.euler_terminal_batch(kind, p, s0, 0.9, 500, 1, SeedSpec(61))
+    end = np.array([path.x1_values[-1], path.x2_values[-1]])
+    got = np.concatenate([x1, x2])
+    if label == "custom":
+        # the single path keeps a 2x2 matmul per step, the batch two products
+        # and a sum: each step may round the position differently by about an
+        # ulp, and a terminal point near 0 makes ulp counts meaningless
+        scale = max(1.0, np.abs(path.x1_values).max(), np.abs(path.x2_values).max())
+        np.testing.assert_allclose(got, end, rtol=0, atol=500 * np.finfo(float).eps * scale)
+    else:
+        assert got.tobytes() == end.tobytes()
+
+
+@pytest.mark.parametrize("t,n_steps,n_paths", [(0.0, 10, 5), (-1.0, 10, 5), (math.nan, 10, 5),
+                                               (1.0, 0, 5), (1.0, -3, 5), (1.0, 10, 0),
+                                               (1.0, 10, -1)])
+def test_batch_rejects_bad_sizes(t, n_steps, n_paths):
+    with pytest.raises(ParameterError):
+        planar.euler_terminal_batch("B", P_GEN, InitialState(0, 0), t, n_steps, n_paths, SeedSpec(1))
+
+
+def test_batch_int_start_gives_float_state():
+    x1, x2 = planar.euler_terminal_batch("W", P_GEN, InitialState(1, 0), 1.0, 3, 4, SeedSpec(2))
+    assert x1.dtype == x2.dtype == np.float64
