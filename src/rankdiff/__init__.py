@@ -25,8 +25,10 @@ from .classifier import (SqrtConfig, StrengthVerdict, build_config,
 from .timereversal import (BackwardDriftSpec, backward_drift,
                            backward_rank_drift_report, q_function,
                            simulate_backward)
-from .harness import (ExperimentConfig, GofReport, PiecewiseBV, emit_svg_heatmap,
-                      run_validation_suite, tanaka_coalescence_experiment)
+from .harness import (ExperimentConfig, GofReport, PiecewiseBV,
+                      tanaka_coalescence_experiment)
+from .svgplot import emit_svg_heatmap
+from .validation import run_validation_suite
 
 __version__ = "0.1.0"
 

@@ -73,37 +73,19 @@ def _density_pairs(lam: float, t: float, y: np.ndarray, xi: np.ndarray) -> np.nd
     return out / np.sqrt(2.0 * np.pi * t)
 
 
-def transition_density(p: ModelParams, t: float, y: float, xi):
+def transition_density(p: ModelParams, t: float, y, xi):
     """Density of Y(t) at xi, for Y(0) = y.
 
-    Vectorized over xi.  Starts y < 0 are evaluated as the mirror image of the
-    corresponding y > 0 problem.
+    y and xi broadcast against each other; negative starts are evaluated as
+    the mirror image of the corresponding y > 0 problem, elementwise.
     """
     if not t > 0:
         raise ParameterError("transition_density requires t > 0")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if y >= 0:
-        out = _density_pairs(p.lam, float(t), np.full_like(xi_arr, float(y)), xi_arr)
-    else:
-        out = _density_pairs(p.lam, float(t), np.full_like(xi_arr, -float(y)), -xi_arr)
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return float(out[0])
-    return out
-
-
-def transition_density_from(p: ModelParams, t: float, y, xi):
-    """Density of Y(t) at xi with the starting point vectorized.
-
-    y and xi broadcast against each other; negative starts go through the
-    mirror map elementwise.
-    """
-    if not t > 0:
-        raise ParameterError("transition_density_from requires t > 0")
-    y_arr, xi_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(y, dtype=float)),
-                                        np.atleast_1d(np.asarray(xi, dtype=float)))
-    neg = y_arr < 0
-    y_eff = np.where(neg, -y_arr, y_arr)
-    xi_eff = np.where(neg, -xi_arr, xi_arr)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    flip = np.where(y_arr < 0, -1.0, 1.0)  # multiplying by +-1 is exact
+    xi_eff = flip * np.asarray(xi, dtype=float)
+    y_eff = np.empty_like(xi_eff)
+    y_eff[...] = flip * y_arr
     out = _density_pairs(p.lam, float(t), y_eff, xi_eff)
     if np.ndim(y) == 0 and np.ndim(xi) == 0:
         return float(out[0])
@@ -173,14 +155,25 @@ def simulate_y(p: ModelParams, y0: float, T: float, n_steps: int, seed=None, *, 
     return euler_gap_path(p.lam, y0, T, n_steps, seed, increments=increments)
 
 
+def _check_batch(T, n_steps, n_paths):
+    if not T > 0 or n_steps < 1 or n_paths < 1:
+        raise ParameterError("require T > 0, n_steps >= 1 and n_paths >= 1")
+
+
+def gap_euler_step(y: np.ndarray, lam: float, dt: float, rng) -> None:
+    """One Euler step of dY = -lam*sign(Y) dt + dW for every path of y, in
+    place, with normals drawn from the numpy Generator rng."""
+    y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(y.shape[0]) * np.sqrt(dt)
+
+
 def euler_gap_terminal(lam: float, y0, T: float, n_steps: int, n_paths: int, rng) -> np.ndarray:
     """Terminal values Y(T) of n_paths Euler paths (nothing else stored)."""
+    _check_batch(T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
-    sq = np.sqrt(dt)
     y = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths,)).copy()
     for _ in range(n_steps):
-        y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(n_paths) * sq
+        gap_euler_step(y, lam, dt, rng)
     return y
 
 
@@ -190,6 +183,7 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
     Returns (times, Y, dW) with Y of shape (n_steps + 1, n_paths) and dW of
     shape (n_steps, n_paths); memory-heavy, intended for estimator studies.
     """
+    _check_batch(T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
     sq = np.sqrt(dt)
@@ -242,16 +236,18 @@ def occupation_local_time(path: YPath, eps: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(inside * dt)]) / (4.0 * eps)
 
 
-def skorokhod_local_time_series(path: YPath, lam: float) -> np.ndarray:
-    """2*L(t) via the running-max reflection formula, from the path's noise.
+def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray, lam: float) -> np.ndarray:
+    """2*L(t) via the running-max reflection formula, along axis 0.
 
-    Uses the driver V_flat(t) = int sign(Y) dW reconstructed from the stored
-    increments; returns the series of 2*L, not L.
+    y holds the gap path(s) on the grid `times` (shape (n_steps + 1,) or
+    (n_steps + 1, n_paths)), dw their driving increments; the driver
+    V_flat(t) = int sign(Y) dW is rebuilt from them.  Returns 2*L, not L.
     """
-    s = np.where(path.y_values[:-1] > 0, 1.0, -1.0)
-    v_flat = np.concatenate([[0.0], np.cumsum(s * path.w_increments)])
-    slack = abs(path.y_values[0]) + v_flat - lam * path.times
-    return np.maximum.accumulate(np.maximum(-slack, 0.0))
+    grid = np.reshape(times, (-1,) + (1,) * (np.ndim(y) - 1))
+    s = np.where(y[:-1] > 0, 1.0, -1.0)
+    v_flat = np.concatenate([np.zeros((1,) + np.shape(y)[1:]), np.cumsum(s * dw, axis=0)])
+    slack = np.abs(y[0]) + v_flat - lam * grid
+    return np.maximum.accumulate(np.maximum(-slack, 0.0), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -187,15 +187,3 @@ def enumerate_diagonal_roots(p: ModelParams):
             verdicts.append(strength(cfg))
     strong_count = sum(v.strong for v in verdicts)
     return configs, verdicts, strong_count
-
-
-def random_configs(p: ModelParams, n: int, rng) -> List[SqrtConfig]:
-    """Uniformly random configurations (signs and angles) for sweep tests."""
-    out = []
-    for _ in range(n):
-        eps = 1 if rng.random() < 0.5 else -1
-        dlt = 1 if rng.random() < 0.5 else -1
-        phi = rng.uniform(0.0, TWO_PI)
-        theta = rng.uniform(0.0, TWO_PI)
-        out.append(build_config(p, eps, dlt, phi, theta))
-    return out

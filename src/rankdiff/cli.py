@@ -284,10 +284,9 @@ def cmd_reverse(args) -> int:
         y_fwd0 = rng.laplace(0.0, 1.0 / (2 * p.lam), n)
     else:
         y_fwd0 = np.full(n, args.y0)
-    dt = T / cfg.steps
     y = y_fwd0.copy()
     for _ in range(cfg.steps // 2):
-        y += -p.lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(n) * math.sqrt(dt)
+        bangbang.gap_euler_step(y, p.lam, T / cfg.steps, rng)
     if mode == "steady_state":
         y_term = seed.stream(1).generator().laplace(0.0, 1.0 / (2 * p.lam), n)
     else:

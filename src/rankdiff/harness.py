@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
@@ -166,17 +166,6 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, allv, side="right") / len(a)
     fb = np.searchsorted(b, allv, side="right") / len(b)
     return float(np.abs(fa - fb).max())
-
-
-def mixed_cdf(grid: np.ndarray, cont_cdf: np.ndarray, atoms: Sequence[Tuple[float, float]] = ()):
-    """Right-continuous CDF evaluator for a continuous table plus point masses."""
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, grid, cont_cdf)
-        for loc, mass in atoms:
-            out = out + mass * (x >= loc)
-        return out
-    return F
 
 
 def tabulate_pdf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 4001):
@@ -430,9 +419,3 @@ def tanaka_coalescence_experiment(f: PiecewiseBV, dts: Sequence[float], reps: in
     )
     label = "illustrative dt-consistency study (not a proof of pathwise uniqueness)"
     return CoalescenceReport(label, drive, rows)
-
-
-# re-exports: the heatmap writer and the validation battery live in sibling
-# files but are part of this module's surface (imported last to avoid cycles)
-from .svgplot import emit_svg_heatmap, svg_heatmap_string  # noqa: E402,F401
-from .validation import run_validation_suite  # noqa: E402,F401

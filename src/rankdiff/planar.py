@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bangbang import YPath, TripleBatch, sample_triples, tanaka_residual_series
+from .bangbang import (YPath, TripleBatch, sample_triples, skorokhod_local_time_series,
+                       tanaka_residual_series)
 from .classifier import SqrtConfig
 from .core import InitialState, ModelParams, ParameterError, as_generator
 
@@ -122,24 +123,41 @@ def noise_bundle(path: PlanarPath) -> NoiseBundle:
     return NoiseBundle(path.params, path.times, dw1, dw2, dv1, dv2)
 
 
+def _noise_matrices(kind: SystemKind, p: ModelParams) -> np.ndarray:
+    """Per-state noise matrix m[s] of a system, s = 0 (down) or 1 (up): in
+    state s, the noise of X_{i+1} is sum_j m[s, i, j] dz_j."""
+    _, coef, src = _step_table(kind, p, 1.0)
+    if src is None:
+        return np.moveaxis(coef, -1, 0)
+    m = np.zeros((2, 2, 2))
+    for i in (0, 1):
+        for s in (0, 1):
+            m[s, i, src[i, s]] = coef[i, s]
+    return m
+
+
+def _projected_increments(path: PlanarPath, sign: float) -> np.ndarray:
+    """Increments of the noise driving X1 + sign * X2, from the raw increments."""
+    m = _noise_matrices(path.config if path.kind == "custom" else path.kind, path.params)
+    c = (m[:, 0] + sign * m[:, 1])[path.up.astype(np.intp)]
+    return (c * path.raw_increments).sum(axis=1)
+
+
 def gap_driver_increments(path: PlanarPath) -> np.ndarray:
     """Increments of the Brownian motion driving the difference X1 - X2.
 
     Feeding these into the one-dimensional Euler scheme reproduces the
     difference path exactly, step for step, for every system kind.
     """
-    if path.kind in _NAMED_KINDS:
-        b = noise_bundle(path)
-        return b.increments("W")
-    if path.kind == "custom":
-        cfg = path.config
-        e_plus = cfg.sigma_plus[0] - cfg.sigma_plus[1]
-        e_minus = cfg.sigma_minus[0] - cfg.sigma_minus[1]
-        coeff = np.where(path.up[:, None], e_plus[None, :], e_minus[None, :])
-        return (coeff * path.raw_increments).sum(axis=1)
     if path.kind == "skew":
         return path.raw_increments[:, 0]
-    raise ParameterError(f"no gap driver for kind {path.kind!r}")
+    return _projected_increments(path, -1.0)
+
+
+def sum_driver_increments(path: PlanarPath) -> np.ndarray:
+    """Increments of the Brownian motion V driving the sum X1 + X2
+    (X1 + X2 = z + nu t + V) of a B, W, V or custom path."""
+    return _projected_increments(path, 1.0)
 
 
 def gap_path_of(path: PlanarPath) -> YPath:
@@ -345,9 +363,6 @@ def rank_residuals(path: PlanarPath):
 
 def skorokhod_gap_local_time(path: PlanarPath) -> np.ndarray:
     """2 L(t) of the difference via the reflection running-max formula,
-    driven by V_flat reconstructed from the stored noise."""
-    p = path.params
-    b = noise_bundle(path)
-    v_flat = b.path("Vflat")
-    slack = abs(path.y_values[0]) + v_flat - p.lam * path.times
-    return np.maximum.accumulate(np.maximum(-slack, 0.0))
+    driven by the gap noise reconstructed from the stored increments."""
+    return skorokhod_local_time_series(path.y_values, gap_driver_increments(path),
+                                       path.times, path.params.lam)

@@ -164,6 +164,8 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     Returns (times, values) where values[k] holds all paths at times[k];
     record_times defaults to the full grid.
     """
+    if n_steps < 1:
+        raise ParameterError("simulate_backward requires n_steps >= 1")
     rng = as_generator(seed)
     y = np.array(yT_draws, dtype=float, copy=True)
     n_paths = y.shape[0]

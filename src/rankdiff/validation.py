@@ -21,6 +21,8 @@ import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
 from .core import InitialState, ModelParams, SeedSpec, validate_params
+from .harness import (GofReport, binomial_z, chi2_against_density, ks_statistic,
+                      ks_two_sample, pmap_batches)
 
 # stream id blocks per check, so adding draws to one never shifts another
 _STREAMS = {
@@ -35,7 +37,6 @@ _STREAMS = {
 
 
 def _report(kind, name, stat, tol, n, mode="le", p_value=None, note=""):
-    from .harness import GofReport
     return GofReport(kind, name, float(stat), float(tol), int(n), mode, p_value, note)
 
 
@@ -230,7 +231,7 @@ def check_chapman_kolmogorov(tol: float = 1e-6) -> List:
                 for xi in (-3 * scale, -scale, -0.2 * scale, 0.0, 0.4 * scale, 1.5 * scale, 3 * scale):
                     def integrand(u):
                         return (bangbang.transition_density(p, t1, y, u)
-                                * bangbang.transition_density_from(p, t2, u, xi))
+                                * bangbang.transition_density(p, t2, u, xi))
                     conv = _integrate_kinked(integrand, -hw, hw, kinks=[0.0], n_panels=24)
                     direct = bangbang.transition_density(p, t, y, xi)
                     worst = max(worst, abs(conv - direct))
@@ -277,7 +278,6 @@ def _fine_grid_marginals(p, s0, t, lo1, hi1, lo2, hi2, n=2000):
 
 
 def _mixed_ks(samples, grid, cont_cdf, atoms):
-    from .harness import ks_statistic
     total = cont_cdf[-1] + sum(m for _, m in atoms)
     cdf_at = np.interp(samples, grid, cont_cdf)
     cdf_left = cdf_at.copy()
@@ -288,7 +288,6 @@ def _mixed_ks(samples, grid, cont_cdf, atoms):
 
 
 def check_sampler_vs_density(seed: SeedSpec, n_draws: int = 100_000, workers: int = 1) -> List:
-    from .harness import binomial_z, chi2_against_density, pmap_batches
     reports = []
     t = 1.0
     for idx, (name, p, s0) in enumerate(_sampler_cases()):
@@ -333,7 +332,6 @@ def check_sampler_vs_density(seed: SeedSpec, n_draws: int = 100_000, workers: in
 
 def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 1000,
                          workers: int = 1) -> List:
-    from .harness import ks_two_sample, pmap_batches
     p = validate_params(1.0, 1.0, 1.0, 0.0)
     s0 = InitialState(0.0, 0.0)
     t = 1.0
@@ -360,16 +358,6 @@ def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 
 # criterion 7: path identities
 # ---------------------------------------------------------------------------
 
-def _sum_noise(path):
-    if path.kind in ("B", "W", "V"):
-        return planar.noise_bundle(path).path("V")
-    cfg = path.config
-    e_plus = cfg.sigma_plus[0] + cfg.sigma_plus[1]
-    e_minus = cfg.sigma_minus[0] + cfg.sigma_minus[1]
-    coeff = np.where(path.up[:, None], e_plus[None, :], e_minus[None, :])
-    return np.concatenate([[0.0], np.cumsum((coeff * path.raw_increments).sum(axis=1))])
-
-
 def check_path_identities(seed: SeedSpec, n_steps: int = 4000) -> List:
     reports = []
     p = validate_params(1.0, 0.5, 0.8, 0.6)
@@ -382,8 +370,9 @@ def check_path_identities(seed: SeedSpec, n_steps: int = 4000) -> List:
         redone = bangbang.euler_gap_path(p.lam, s0.y, 1.0, n_steps, increments=gap.w_increments)
         diff_err = float(np.abs(path.y_values - redone.y_values).max())
         reports.append(_report("sup", f"path-identity/difference/{label}", diff_err, 1e-10, n_steps))
+        sum_noise = np.concatenate([[0.0], np.cumsum(planar.sum_driver_increments(path))])
         sum_err = float(np.abs(path.x1_values + path.x2_values
-                               - (s0.z + p.nu * path.times + _sum_noise(path))).max())
+                               - (s0.z + p.nu * path.times + sum_noise)).max())
         reports.append(_report("sup", f"path-identity/sum/{label}", sum_err, 1e-10, n_steps))
     return reports
 
@@ -398,11 +387,7 @@ def _localtime_gap_rms(seed: SeedSpec, dt: float, n_paths: int, which: str,
     times, y, dw = bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, seed.generator())
     el = bangbang.tanaka_residual_matrix(y)
     if which == "skorokhod":
-        s = np.where(y[:-1] > 0, 1.0, -1.0)
-        v_flat = np.vstack([np.zeros(n_paths), np.cumsum(s * dw, axis=0)])
-        slack = abs(y0) + v_flat - lam * times[:, None]
-        two_l_sko = np.maximum.accumulate(np.maximum(-slack, 0.0), axis=0)
-        gap = 2.0 * el[-1] - two_l_sko[-1]
+        gap = 2.0 * el[-1] - bangbang.skorokhod_local_time_series(y, dw, times, lam)[-1]
     elif which == "reversal":
         el_rev = bangbang.tanaka_residual_matrix(y[::-1])
         target = el[-1] - el[::-1]
@@ -481,14 +466,11 @@ def check_time_reversal(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 5
     ref = -lam * np.where(grid > 0, 1.0, -1.0)
     reports.append(_report("sup", "reversal/steady-drift-exact", float(np.abs(steady - ref).max()), 0.0, 401))
 
-    from .harness import ks_two_sample
     rng_f = seed.stream(0).generator()
     y = rng_f.laplace(0.0, 1.0 / (2 * lam), n_paths)
     T = 1.0
-    dt = T / n_steps
-    sq = math.sqrt(dt)
     for _ in range(n_steps // 2):
-        y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng_f.standard_normal(n_paths) * sq
+        bangbang.gap_euler_step(y, lam, T / n_steps, rng_f)
     rng_b = seed.stream(1).generator()
     y_term = rng_b.laplace(0.0, 1.0 / (2 * lam), n_paths)
     spec = timereversal.BackwardDriftSpec(p, 0.0, T, mode="steady_state")
@@ -513,9 +495,8 @@ def check_invariant_law(seed: SeedSpec, n_paths: int = 768) -> List:
     y = np.zeros(n_paths)
     counts = np.zeros(len(edges) - 1)
     n_tot = 0
-    sq = math.sqrt(dt)
     for k in range(n_steps):
-        y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(n_paths) * sq
+        bangbang.gap_euler_step(y, lam, dt, rng)
         if k >= burn_steps and k % thin == 0:
             c, _ = np.histogram(y, edges)
             counts += c

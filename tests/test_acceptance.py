@@ -7,6 +7,7 @@ contracts like dt^(1/4) (sign-flip sum fluctuation), not sqrt(dt); see the
 module notes in rankdiff.validation.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -21,6 +22,9 @@ from rankdiff.validation import (check_chapman_kolmogorov, check_classifier,
 
 SEED = SeedSpec(20_240_601)
 WORKERS = 4
+# sha256 of validation_reports.csv from `validate --seed 20240601 --scale 0.05`,
+# recorded before the gap-process mechanisms were each given a single home
+VALIDATION_CSV_SHA256 = "74ea84a905f65c34b7c47bbf6e4a89ae17831be127943907b8bc2cd64ebd4f9b"
 
 
 def _run(label, budget_s, reports, expect_fail=()):
@@ -121,5 +125,7 @@ def test_criterion_11_reproducibility_across_worker_counts(tmp_path):
     assert code1 == code2
     f1, f2 = d1 / "validation_reports.csv", d2 / "validation_reports.csv"
     assert f1.read_bytes() == f2.read_bytes()
+    # the table itself is byte-stable across refactors, not only across worker counts
+    assert hashlib.sha256(f1.read_bytes()).hexdigest() == VALIDATION_CSV_SHA256
     print(f"PASS criterion-11 reproducibility: byte-identical CSV across worker counts "
           f"({time.perf_counter() - t0:.1f}s)")

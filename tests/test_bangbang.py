@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -43,7 +44,7 @@ def test_chapman_kolmogorov_pointwise():
     for xi in (-1.0, 0.0, 0.4, 2.0):
         conv, _ = quad(
             lambda u: (bangbang.transition_density(p, 0.4, y, u)
-                       * bangbang.transition_density_from(p, 0.6, u, xi)),
+                       * bangbang.transition_density(p, 0.6, u, xi)),
             -14, 14, points=[0.0], limit=400, epsabs=1e-11)
         direct = bangbang.transition_density(p, 1.0, y, xi)
         assert abs(conv - direct) <= 1e-6
@@ -376,3 +377,88 @@ def test_single_draw_wrapper():
     assert d.side in ("plus", "minus")
     assert d.a >= 0 and d.b >= 0
     assert d.atom == (d.b == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# input checks of the batched gap kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", ["euler_gap_terminal", "euler_gap_paths_batch"])
+@pytest.mark.parametrize("T,n_steps,n_paths", [(0.0, 10, 5), (-1.0, 10, 5), (math.nan, 10, 5),
+                                               (1.0, 0, 5), (1.0, -3, 5), (1.0, 10, 0),
+                                               (1.0, 10, -1)])
+def test_gap_batch_kernels_reject_bad_sizes(kernel, T, n_steps, n_paths):
+    with pytest.raises(ParameterError):
+        getattr(bangbang, kernel)(1.0, 0.0, T, n_steps, n_paths, SeedSpec(1).generator())
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the gap kernels and the transition density
+# ---------------------------------------------------------------------------
+
+# (lam, y0, T, n_steps, n_paths): a vector start, lam = 0, odd step counts
+GAP_CASES = [(2.0, 0.3, 1.0, 200, 64), (0.0, 0.0, 0.5, 51, 33),
+             (5.0, np.linspace(-1.0, 1.0, 17), 2.0, 301, 17), (1.0, -0.4, 0.3, 7, 1)]
+DENSITY_STARTS = (-0.7, 0.0, 1.3)
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        assert a.dtype == np.float64
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _golden_arrays(kernel):
+    if kernel in ("terminal", "batch"):
+        for i, (lam, y0, T, n_steps, n_paths) in enumerate(GAP_CASES):
+            rng = SeedSpec(20240601, i).generator()
+            if kernel == "terminal":
+                yield bangbang.euler_gap_terminal(lam, y0, T, n_steps, n_paths, rng)
+            else:
+                yield from bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, rng)
+        return
+    grid = np.linspace(-4.0, 4.0, 97)
+    for lam in (0.5, 2.0):
+        p = params(lam)
+        for t in (0.2, 1.0, 3.0):
+            if kernel == "vector-start":
+                starts = np.linspace(-2.0, 2.0, 41)
+                yield bangbang.transition_density(p, t, starts, 0.3)
+                yield bangbang.transition_density(p, t, starts, -grid[:41])
+                yield bangbang.transition_density(p, t, starts[:, None], grid[None, :])
+                continue
+            for y in DENSITY_STARTS:
+                if kernel == "scalar":
+                    yield [bangbang.transition_density(p, t, y, xi) for xi in (-1.1, 0.0, 0.4)]
+                else:
+                    yield bangbang.transition_density(p, t, y, grid)
+
+
+# sha256 of the float64 outputs, recorded before the gap step, the Skorokhod
+# formula and the two transition densities were each given a single home
+GOLDEN = {
+    "terminal": "26011b331cedf136c0f25c15cd23ff9f511983bf933b86094c879fb72b6534a7",
+    "batch": "e2b1edf19b6ad5432ff9c17275d5dcd06b4bc1763467399019edc4118ff2c01a",
+    "scalar": "156dbb17b1eed641f1d66aaf2e148f3dc210cf92f47275107dfd4512512b6021",
+    "array": "60093f9f6c785a477f5c34eccdf5fb23fd6f5ad2f574dbfee0ddb5e9e00375a4",
+    "vector-start": "eff844273410e0534e02c9062d2026daa89a0ea547668afeb5a07b3b4820752b",
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(GOLDEN))
+def test_gap_kernels_and_density_match_golden_digest(kernel):
+    assert _sha256(_golden_arrays(kernel)) == GOLDEN[kernel]
+
+
+def test_density_scalar_and_array_conventions():
+    p = params(1.0)
+    assert isinstance(bangbang.transition_density(p, 1.0, 0.2, 0.5), float)
+    assert isinstance(bangbang.transition_density(p, 1.0, np.float64(-0.2), np.array(0.5)), float)
+    assert bangbang.transition_density(p, 1.0, 0.2, [0.5]).shape == (1,)
+    both = bangbang.transition_density(p, 1.0, np.array([-0.2, 0.2]), np.array([[0.5], [-0.5]]))
+    assert both.shape == (2, 2)
+    # a negative start is the mirror image of the positive one
+    assert both[0, 0] == both[1, 1] and both[0, 1] == both[1, 0]

@@ -221,6 +221,20 @@ def test_skorokhod_running_max_formula_order():
     assert fine / coarse <= 0.65
 
 
+@pytest.mark.parametrize("make", ["custom", "skew"])
+def test_skorokhod_local_time_of_custom_and_skew_paths(make):
+    s0 = InitialState(0.3, 0.0)
+    if make == "custom":
+        path = planar.euler_simulate(classifier.build_config(P_GEN, -1, 1, 1.2, -0.4),
+                                     P_GEN, s0, 1.0, 2000, SeedSpec(59))
+    else:
+        path = planar.skew_construct(P_GEN, s0, *_skew_inputs(P_GEN, s0))
+    two_l = planar.skorokhod_gap_local_time(path)
+    assert two_l.shape == path.times.shape
+    assert np.all(np.isfinite(two_l)) and two_l[0] == 0.0
+    assert np.all(np.diff(two_l) >= 0) and two_l[-1] > 0
+
+
 def test_system_difference_distribution_consistent_across_kinds():
     # all systems solve the same martingale problem: terminal gap laws agree
     n = 30_000
@@ -253,6 +267,15 @@ def _sha256(arrays):
     return h.hexdigest()
 
 
+# the gap-process readings of a simulated path: its gap driver, its sum-noise
+# path and its Skorokhod local time
+_PATH_READERS = {
+    "gapdriver": planar.gap_driver_increments,
+    "sumnoise": lambda path: np.concatenate([[0.0], np.cumsum(planar.sum_driver_increments(path))]),
+    "skorokhod": planar.skorokhod_gap_local_time,
+}
+
+
 def _golden_arrays(kernel, label):
     for i, raw in enumerate(GOLDEN_PARAMS):
         p = validate_params(*raw)
@@ -262,6 +285,8 @@ def _golden_arrays(kernel, label):
             if kernel == "simulate":
                 path = planar.euler_simulate(kind, p, s0, 1.0, 300, seed)
                 yield from (path.x1_values, path.x2_values, path.raw_increments)
+            elif kernel in _PATH_READERS:
+                yield _PATH_READERS[kernel](planar.euler_simulate(kind, p, s0, 1.0, 300, seed))
             elif kernel == "batch":
                 yield from planar.euler_terminal_batch(kind, p, s0, 0.7, 40, 257, seed)
             else:
@@ -287,11 +312,33 @@ GOLDEN = {
     "increments-custom": "52d63daac7e8d5d8cb5a9ecbc7870dc5c580080857db42742d198575213eb10d",
 }
 
+# recorded before the gap driver and the sum noise were read off the step
+# table and the Skorokhod formula moved to bangbang
+GOLDEN_GAP = {
+    "gapdriver-B": "e3ea346bf419b0af8e7ded27165f0c574de8147eacda503a3ba08fa551f842af",
+    "gapdriver-W": "63cfe65d00dd15b9708b5dfc3d78a159b55e3743fbdef5d6fbaefb16254886d0",
+    "gapdriver-V": "d753ae517c2e64e6bc6d03e539b17751965e9d9c1bcfd616863b5983890513b4",
+    "gapdriver-custom": "0092c997ee763e78191f84c1a4faaf9beda2445df3f31e405f122d77cd79eb71",
+    "sumnoise-B": "40e829598434bbbe177837d8461b22e6933f4a3358dce22d387e2dfe5f272bb3",
+    "sumnoise-W": "81454084cb0a169f037542bea578667a39d2fc4e0e42702dcba27b17c9741b7d",
+    "sumnoise-V": "af539238b0f98f55276ad659ebd9bda71f4c56a4894b8b66b8de11d3e9251709",
+    "sumnoise-custom": "9db0f7a6dd70ad56af85bb47ddf1ce7348c4a71a96319c6e880f8d10acee3ecf",
+    "skorokhod-B": "23b8c783299fb7a9b92dc1bd2dec41509b28cde2bc50db47e66df1202af36da8",
+    "skorokhod-W": "66ff4e144b57bb60155c3303ab21a9c84df89d74f83434293e46b30a179c8343",
+    "skorokhod-V": "85d8cdcc6d34fd127797a000525f12ea891c74b67cb8c81a88ae10a37812a034",
+}
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_euler_kernels_match_golden_digest(key):
     kernel, label = key.split("-")
     assert _sha256(_golden_arrays(kernel, label)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_GAP))
+def test_gap_readings_match_golden_digest(key):
+    kernel, label = key.split("-")
+    assert _sha256(_golden_arrays(kernel, label)) == GOLDEN_GAP[key]
 
 
 @pytest.mark.parametrize("label", ALL_KINDS + ["custom"])

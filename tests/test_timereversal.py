@@ -125,9 +125,8 @@ def test_backward_steady_state_matches_forward_law():
     T, steps = 1.0, 500
     rng = SeedSpec(3).generator()
     y = rng.laplace(0.0, 1 / (2 * lam), n)
-    dt = T / steps
     for _ in range(steps // 2):
-        y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(n) * math.sqrt(dt)
+        bangbang.gap_euler_step(y, lam, T / steps, rng)
     spec = timereversal.BackwardDriftSpec(P2, 0.0, T, mode="steady_state")
     y_term = SeedSpec(5).generator().laplace(0.0, 1 / (2 * lam), n)
     _, rec = timereversal.simulate_backward(spec, y_term, steps, SeedSpec(7), record_times=[T / 2])
@@ -163,6 +162,13 @@ def test_backward_records_requested_times_and_is_clamped():
     assert rec.shape == (3, 3)
     np.testing.assert_array_equal(rec[0], y_term)
     assert np.all(np.isfinite(rec))
+
+
+@pytest.mark.parametrize("n_steps", [0, -2])
+def test_backward_rejects_bad_step_count(n_steps):
+    spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="steady_state")
+    with pytest.raises(ParameterError):
+        timereversal.simulate_backward(spec, np.zeros(3), n_steps, SeedSpec(1))
 
 
 def test_local_time_reversal_identity_within_coarse_band():
