@@ -129,8 +129,8 @@ def _emit_table(cfg, name, columns, rows, meta=None):
     if cfg.fmt == "json":
         path = _out(cfg, f"{name}.json")
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        payload = {"table": name, "meta": meta or {}, "columns": list(columns),
-                   "rows": [list(r) for r in rows]}
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+        payload = {"table": name, "meta": meta or {}, "columns": list(columns), "rows": rows}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -150,8 +150,8 @@ def cmd_simulate(args) -> int:
     for i in range(n_paths):
         if args.system == "gap":
             path = bangbang.simulate_y(p, s0.y, cfg.horizon, cfg.steps, seed.stream(i))
-            rows = zip(path.times, path.y_values, path.l_values,
-                       np.concatenate([[0.0], np.cumsum(path.w_increments)]))
+            rows = np.column_stack([path.times, path.y_values, path.l_values,
+                                    np.concatenate([[0.0], np.cumsum(path.w_increments)])])
             written.append(_emit_table(cfg, f"gap_path_{i:03d}", ["t", "Y", "L", "W"], rows,
                                        {"lam": p.lam, "y0": s0.y, "seed": cfg.seed, "stream": i}))
             continue
@@ -160,8 +160,8 @@ def cmd_simulate(args) -> int:
             kind = classifier.build_config(p, args.eps, args.delta, args.phi, args.vartheta)
         path = planar.euler_simulate(kind, p, s0, cfg.horizon, cfg.steps, seed.stream(i))
         r1, r2 = planar.ranks(path)
-        rows = zip(path.times, path.x1_values, path.x2_values, r1, r2,
-                   path.y_values, path.local_time())
+        rows = np.column_stack([path.times, path.x1_values, path.x2_values, r1, r2,
+                                path.y_values, path.local_time()])
         written.append(_emit_table(cfg, f"path_{i:03d}", ["t", "X1", "X2", "R1", "R2", "Y", "L"],
                                    rows, {"system": args.system, "seed": cfg.seed, "stream": i}))
     print("\n".join(written))
@@ -173,7 +173,8 @@ def cmd_sample(args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
     draws = planar.exact_sample_terminal(p, s0, cfg.horizon, cfg.paths, SeedSpec(cfg.seed))
-    path = _emit_table(cfg, "terminal_draws", ["x1", "x2"], zip(draws.x1, draws.x2),
+    rows = np.column_stack([draws.x1, draws.x2])
+    path = _emit_table(cfg, "terminal_draws", ["x1", "x2"], rows,
                        {"t": cfg.horizon, "seed": cfg.seed,
                         "atom_fraction": draws.atom_fraction})
     print(path)
@@ -191,7 +192,7 @@ def cmd_density(args) -> int:
         hi = args.xi_max if args.xi_max is not None else hw
         grid = np.linspace(lo, hi, args.xi_n)
         vals = bangbang.transition_density(p, t, s0.y, grid)
-        path = _emit_table(cfg, "gap_density", ["xi", "value"], zip(grid, vals),
+        path = _emit_table(cfg, "gap_density", ["xi", "value"], np.column_stack([grid, vals]),
                            {"t": t, "y": s0.y, "lam": p.lam})
         print(path)
         return 0
@@ -204,8 +205,8 @@ def cmd_density(args) -> int:
     xi2 = np.linspace(lo if lo is not None else center2 - hw,
                       hi if hi is not None else center2 + hw, args.xi_n)
     grid = densities.density_grid(p, s0, t, xi1, xi2)
-    rows = ((xi1[i], xi2[j], grid.values[i, j])
-            for i in range(len(xi1)) for j in range(len(xi2)))
+    n1, n2 = len(xi1), len(xi2)
+    rows = np.column_stack([np.repeat(xi1, n2), np.tile(xi2, n1), grid.values.ravel()])
     table = _emit_table(cfg, "joint_density", ["xi1", "xi2", "value"], rows,
                         {"t": t, "x1": s0.x1, "x2": s0.x2})
     sidecar = {
@@ -276,7 +277,8 @@ def cmd_reverse(args) -> int:
     table = _emit_table(cfg, "backward_drift", ["tau", "xi", "q", "b_hat"], rows,
                         {"mode": mode, "y0": args.y0, "lam": p.lam, "T": T})
 
-    # path comparison: reversed simulation against the forward law at T/2
+    # path comparison: the forward law after k = steps // 2 steps against the
+    # reversed simulation at the same grid time k*T/steps (T/2 for even steps)
     seed = SeedSpec(cfg.seed)
     n = max(cfg.paths, 1000)
     rng = seed.stream(0).generator()
@@ -285,21 +287,23 @@ def cmd_reverse(args) -> int:
     else:
         y_fwd0 = np.full(n, args.y0)
     y = y_fwd0.copy()
-    for _ in range(cfg.steps // 2):
+    k = cfg.steps // 2
+    for _ in range(k):
         bangbang.gap_euler_step(y, p.lam, T / cfg.steps, rng)
+    t_check = T / 2 if cfg.steps % 2 == 0 else k * T / cfg.steps
     if mode == "steady_state":
         y_term = seed.stream(1).generator().laplace(0.0, 1.0 / (2 * p.lam), n)
     else:
         y_term = bangbang.sample_terminal_exact(p, T, args.y0, n, seed.stream(1))
     spec = timereversal.BackwardDriftSpec(p, args.y0, T, mode=mode)
     _, rec = timereversal.simulate_backward(spec, y_term, cfg.steps, seed.stream(2),
-                                            record_times=[T / 2])
+                                            record_times=[(cfg.steps - k) * T / cfg.steps])
     ks = ks_two_sample(y, rec[-1])
     report = _emit_table(cfg, "reverse_report",
                          ["mode", "t_check", "ks", "n_paths", "steps"],
-                         [[mode, T / 2, ks, n, cfg.steps]],
+                         [[mode, t_check, ks, n, cfg.steps]],
                          {"y0": args.y0, "lam": p.lam, "seed": cfg.seed})
-    print(f"{table}\n{report}\nreversed-vs-forward KS at T/2: {ks:.5f} (n={n})")
+    print(f"{table}\n{report}\nreversed-vs-forward KS at t={t_check:g}: {ks:.5f} (n={n})")
     return 0
 
 

@@ -21,13 +21,27 @@ _VIRIDIS = np.array([
 ], dtype=float)
 
 
-def _color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    x = v * (len(_VIRIDIS) - 1)
-    i = min(int(x), len(_VIRIDIS) - 2)
-    f = x - i
-    rgb = (1.0 - f) * _VIRIDIS[i] + f * _VIRIDIS[i + 1]
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+_RECT = '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="#%06x"/>'
+
+
+def _colors(v: np.ndarray) -> np.ndarray:
+    """Viridis colour of each value, clipped to [0, 1], packed as 0xRRGGBB.
+
+    Channels round half to even (np.rint), as Python's round does.
+    """
+    x = np.clip(v, 0.0, 1.0) * (len(_VIRIDIS) - 1)
+    i = np.minimum(x.astype(np.intp), len(_VIRIDIS) - 2)
+    f = (x - i)[..., None]
+    rgb = np.rint((1.0 - f) * _VIRIDIS[i] + f * _VIRIDIS[i + 1]).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+
+
+def _rects(x, y, w, h, rgb) -> str:
+    """One filled <rect> line per element of the equal-length arrays."""
+    fields = [None] * (5 * len(rgb))
+    for k, col in enumerate((x, y, w, h, rgb)):
+        fields[k::5] = col.tolist()
+    return "\n".join([_RECT] * len(rgb)) % tuple(fields)
 
 
 def _fmt(x: float) -> str:
@@ -61,14 +75,12 @@ def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
     # cell centers own [midpoint, midpoint] rectangles
     xe = np.concatenate([[xi1[0]], (xi1[1:] + xi1[:-1]) / 2.0, [xi1[-1]]])
     ye = np.concatenate([[xi2[0]], (xi2[1:] + xi2[:-1]) / 2.0, [xi2[-1]]])
-    for i in range(len(xi1)):
-        for j in range(len(xi2)):
-            xa, xb = sx(xe[i]), sx(xe[i + 1])
-            ya, yb = sy(ye[j + 1]), sy(ye[j])
-            parts.append(
-                f'<rect x="{_fmt(xa)}" y="{_fmt(ya)}" width="{_fmt(xb - xa)}" '
-                f'height="{_fmt(yb - ya)}" fill="{_color(vals[i, j] / vmax)}"/>'
-            )
+    xa, xb = sx(xe[:-1]), sx(xe[1:])
+    ya, yb = sy(ye[1:]), sy(ye[:-1])
+    rgb = _colors(vals / vmax)
+    n2 = len(xi2)
+    for i in range(len(xi1)):  # one block of n2 cells per xi1 column
+        parts.append(_rects(np.full(n2, xa[i]), ya, np.full(n2, xb[i] - xa[i]), yb - ya, rgb[i]))
     # axes frame and min/max labels
     parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1p - x0)}" '
                  f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>')
@@ -82,11 +94,11 @@ def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
                  f'text-anchor="end" font-family="monospace">{_fmt(xi2[-1])}</text>')
     # vertical colorbar
     n_seg = 32
-    for k in range(n_seg):
-        ya = y1p - (k + 1) / n_seg * (y1p - y0)
-        yb = y1p - k / n_seg * (y1p - y0)
-        parts.append(f'<rect x="{_fmt(bar_x0)}" y="{_fmt(ya)}" width="{_fmt(bar_x1 - bar_x0)}" '
-                     f'height="{_fmt(yb - ya)}" fill="{_color((k + 0.5) / n_seg)}"/>')
+    k = np.arange(n_seg)
+    ya = y1p - (k + 1) / n_seg * (y1p - y0)
+    yb = y1p - k / n_seg * (y1p - y0)
+    parts.append(_rects(np.full(n_seg, bar_x0), ya, np.full(n_seg, bar_x1 - bar_x0), yb - ya,
+                        _colors((k + 0.5) / n_seg)))
     parts.append(f'<rect x="{_fmt(bar_x0)}" y="{_fmt(y0)}" width="{_fmt(bar_x1 - bar_x0)}" '
                  f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>')
     parts.append(f'<text x="{_fmt(bar_x1)}" y="{_fmt(y1p + 16)}" font-size="11" '

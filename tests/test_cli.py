@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -203,3 +204,146 @@ def test_reverse_lambda_alias_and_report_file(tmp_path):
     lines = read_lines(tmp_path / "reverse_report.csv")
     assert lines[1] == "mode,t_check,ks,n_paths,steps"
     assert lines[2].startswith("steady_state,")
+
+
+UNEQUAL = ["--g", "1", "--h", "0.5", "--rho", "0.8", "--sigma", "0.6"]
+DEGENERATE = ["--g", "1", "--h", "1", "--rho", "1", "--sigma", "0"]
+EXPORT_CASES = {
+    "simulate-B": ["simulate", "--system", "B", "--paths", "2", "--steps", "2000"] + UNEQUAL,
+    "simulate-custom": ["simulate", "--system", "custom", "--eps", "-1", "--delta", "1",
+                        "--phi", "0.7", "--vartheta", "2.1", "--paths", "2",
+                        "--steps", "2000"] + UNEQUAL,
+    "simulate-gap": ["simulate", "--system", "gap", "--paths", "2", "--steps", "2000"],
+    "simulate-json": ["simulate", "--system", "B", "--steps", "300", "--format", "json"] + UNEQUAL,
+    "sample": ["sample", "--paths", "5000"],
+    "density-degenerate-svg": ["density", "--x1", "0.5", "--x2", "0", "--xi-n", "41",
+                               "--svg", "heatmap.svg"] + DEGENERATE,
+    "density-unequal": ["density", "--x1", "0.4", "--x2", "0", "--xi-n", "61"] + UNEQUAL,
+    "density-gap": ["density", "--law", "gap", "--xi-n", "2001"],
+    "density-json": ["density", "--x1", "0.4", "--x2", "0", "--xi-n", "21",
+                     "--format", "json"] + UNEQUAL,
+    "classify": ["classify", "--enumerate"] + UNEQUAL,
+    "reverse-even": ["reverse", "--mode", "transient", "--lam", "2", "--y0", "0.3",
+                     "--paths", "2000", "--steps", "200"],
+    "tanaka": ["tanaka", "--reps", "5"],
+}
+# sha256 of every file each invocation writes at seed 20240601, recorded with
+# the per-cell CSV writer, the per-cell SVG loop and the scalar Tanaka loop
+EXPORT_GOLDEN = {
+    "classify": {
+        "classify.csv":
+            "e85519e30c85915654d745b0b276e6035a77819114f33a8ab53282b9ec7b7505",
+    },
+    "density-degenerate-svg": {
+        "heatmap.svg":
+            "850eb8c3fe9c85e7d31d289b3ecc1e5cec2806545c2d575155bc2c113d1cc0f3",
+        "joint_density.csv":
+            "a160b63a971b3c3663dc1522c6c95a8f47989b9ceeade4bd7c9148311bfa24cb",
+        "joint_density.meta.json":
+            "34c9c08d38817406efc85c6cf5cc62f93698ec255f0f59c4d3aafedaa3a94353",
+    },
+    "density-gap": {
+        "gap_density.csv":
+            "a6027625ae5f1c2ae34ecade5117b9efe5ecf4a0e501c0bada0b222fd801440b",
+    },
+    "density-json": {
+        "joint_density.json":
+            "e0dcd7058006eedc03d18b758f32f4d4550986131ec0405ae4861c8819524e4f",
+        "joint_density.meta.json":
+            "0fb89a03d8d8888c0fcd24c355ed541cad2b6f379f8758cfdb198601fe215f9c",
+    },
+    "density-unequal": {
+        "joint_density.csv":
+            "b2f61a61a9c96612dc5f934b25d73b40755aef708410f35591647f03bc38ba2b",
+        "joint_density.meta.json":
+            "0fb89a03d8d8888c0fcd24c355ed541cad2b6f379f8758cfdb198601fe215f9c",
+    },
+    "reverse-even": {
+        "backward_drift.csv":
+            "e5a7bd82110e97b9eb73fb7ce0fb7b40d33fed0221caa6b6c6ea0de5edd016a8",
+        "reverse_report.csv":
+            "424ec47d11d9aff7f09d7c4d58e35a8078cecd4ec60ea9438d559e03c6c6c4eb",
+    },
+    "sample": {
+        "terminal_draws.csv":
+            "9b3ea39afa38f5190f0152290741399154ad1c8d8b991dc4c30b8cebdb407fea",
+    },
+    "simulate-B": {
+        "path_000.csv":
+            "311829d9486882ff20da3d0899770fb21c3f13184a25be3aab560a844344252a",
+        "path_001.csv":
+            "ef45d497b694e9b77ae9684c45ce8ed66f267c1068973431241d7fe7f3b0a9af",
+    },
+    "simulate-custom": {
+        "path_000.csv":
+            "14b7f93b82e9819851820f2f8d90cd78dc1e0c869302062f5ee2a6064b392b49",
+        "path_001.csv":
+            "8f9ce989bf9bcf2356133259835e4bcffada16ddfdb45c7ac99ee1433bb071cd",
+    },
+    "simulate-gap": {
+        "gap_path_000.csv":
+            "3132222983cb999b51e0579ca558f1cc717eaee04c2fffc75fd4796a23175519",
+        "gap_path_001.csv":
+            "194a4c1c846c9f5cc3f40d5329fd8bfe7c3902d2ef4d5973bf735b3e1386300b",
+    },
+    "simulate-json": {
+        "path_000.json":
+            "535c2000f290c59b29013d3823681048c140f6470b8d0ae53a2ea0352601284b",
+    },
+    "tanaka": {
+        "tanaka_coalescence.csv":
+            "59d14936f8a8589c34cf4d71f8d58b9428fc4994eac82aaafb670c3cc63c78df",
+    },
+}
+
+
+def sha256_dir(d):
+    return {f: hashlib.sha256((d / f).read_bytes()).hexdigest() for f in sorted(os.listdir(d))}
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_export_bytes_golden(tmp_path, case):
+    assert run(EXPORT_CASES[case] + ["--seed", "20240601", "--out-dir", str(tmp_path)]) == 0
+    assert sha256_dir(tmp_path) == EXPORT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("steps", [1, 5, 501])
+def test_reverse_compares_both_laws_at_the_same_time(tmp_path, monkeypatch, steps):
+    # odd steps: the forward loop runs steps // 2 steps, so the backward path
+    # must be read steps - steps // 2 steps back from T, not at round(steps / 2)
+    from rankdiff import timereversal
+
+    recorded = []
+    simulate_backward = timereversal.simulate_backward
+
+    def spy(*args, **kwargs):
+        times, values = simulate_backward(*args, **kwargs)
+        recorded.append(times)
+        return times, values
+
+    monkeypatch.setattr(timereversal, "simulate_backward", spy)
+    code = run(["reverse", "--mode", "transient", "--lam", "2", "--y0", "0.3", "--T", "1",
+                "--steps", str(steps), "--paths", "1000", "--seed", "1",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    k = steps // 2
+    t_check = float(read_lines(tmp_path / "reverse_report.csv")[2].split(",")[1])
+    assert t_check == k / steps
+    assert len(recorded) == 1
+    assert round(recorded[0][-1] * steps) == steps - k
+
+
+def test_svg_colors_match_scalar_rule():
+    from rankdiff.svgplot import _VIRIDIS, _colors
+
+    def color(v):  # the per-value rule the vectorised map replaced
+        v = min(max(v, 0.0), 1.0)
+        x = v * (len(_VIRIDIS) - 1)
+        i = min(int(x), len(_VIRIDIS) - 2)
+        f = x - i
+        rgb = (1.0 - f) * _VIRIDIS[i] + f * _VIRIDIS[i + 1]
+        return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+
+    v = np.concatenate([np.linspace(-0.5, 1.5, 20001), np.arange(9) / 8.0,
+                        (np.arange(64) + 0.5) / 64, [-0.0, 5e-324, 1 - 2 ** -53]])
+    assert ["#%06x" % c for c in _colors(v).tolist()] == [color(x) for x in v]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from scipy.stats import norm
 
 from rankdiff.core import ParameterError, SeedSpec
-from rankdiff.harness import (ExperimentConfig, GofReport,
+from rankdiff.harness import (CSV_BLOCK_ROWS, ExperimentConfig, GofReport,
                               PiecewiseBV, binomial_z, chi2_against_density,
                               expected_cell_masses, ks_statistic, ks_two_sample,
                               pmap_batches, tanaka_coalescence_experiment,
@@ -143,6 +144,23 @@ def test_write_csv_versioned_and_byte_stable(tmp_path):
     assert head.startswith("# rankdiff-csv/1 table=demo")
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    2 * CSV_BLOCK_ROWS + 3])
+def test_write_csv_float_table_matches_per_cell_path(tmp_path, n_rows):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    table.ravel()[:len(specials)] = specials[:table.size]
+    cols, meta = ["a", "b", "c"], {"seed": 7, "t": 0.5}
+    bulk = write_csv(str(tmp_path / "bulk.csv"), "demo", cols, table, meta)
+    per_cell = write_csv(str(tmp_path / "cells.csv"), "demo", cols, table.tolist(), meta)
+    assert bulk == per_cell
+    assert (tmp_path / "bulk.csv").read_text(encoding="utf-8") == bulk
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert bulk.count("\n") == 2 + n_rows
+
+
 # ---------------------------------------------------------------------------
 # piecewise descriptors and the coalescence experiment
 # ---------------------------------------------------------------------------
@@ -192,6 +210,71 @@ def test_perturbed_twins_coalesce_and_plain_twins_do_not():
 def test_coalescence_requires_nested_steps():
     with pytest.raises(ParameterError):
         tanaka_coalescence_experiment(PiecewiseBV.sign(), [1e-2, 3.3e-3], reps=2)
+    with pytest.raises(ParameterError):  # 5e-4 divides T = 0.5, 8e-3 does not
+        tanaka_coalescence_experiment(PiecewiseBV.sign(), [8e-3, 5e-4], reps=2, T=0.5)
+
+
+_SIGN = PiecewiseBV.sign()
+_STEP = PiecewiseBV("constant", (0.1,), (-0.3, 0.9))
+_LINEAR = PiecewiseBV("linear", (-1.0, 0.0, 1.0), (0.5, -1.0, 2.0))
+# jumps of order 1e307 overflow both twins to +inf, so a difference reads NaN
+_HUGE = PiecewiseBV("constant", (0.0,), (1e307, 1e308))
+TANAKA_CASES = {
+    "perturbed-sign-1": dict(f=_SIGN, dts=[4e-3, 1e-3], reps=1, seed=5),
+    "perturbed-sign-41": dict(f=_SIGN, dts=[4e-3, 1e-3, 5e-4], reps=41, T=0.5, seed=13),
+    "plain-sign-2": dict(f=_SIGN, dts=[1e-2, 5e-3], reps=2, drive="plain", seed=3),
+    "perturbed-constant-2": dict(f=PiecewiseBV("constant", (0.0,), (0.7, 0.7)), dts=[1e-2],
+                                 reps=2, seed=11),
+    "plain-step-41": dict(f=_STEP, dts=[1e-2, 2.5e-3], reps=41, T=0.5, drive="plain", seed=17),
+    "perturbed-linear-41": dict(f=_LINEAR, dts=[4e-3, 2e-3], reps=41, T=0.5, seed=19),
+    "plain-linear-1": dict(f=_LINEAR, dts=[5e-3, 1e-3], reps=1, drive="plain", q_ratio=0.5,
+                           seed=23),
+    "overflow-nan-3": dict(f=_HUGE, dts=[2e-2], reps=3, T=8.0, seed=7),
+    "infinite-start-2": dict(f=_SIGN, dts=[1e-2, 5e-3], reps=2, z0=math.inf, seed=29),
+}
+# sha256 of the (dt, median_sup, mean_sup, reps) table, recorded with the
+# scalar per-repetition loop
+TANAKA_GOLDEN = {
+    "infinite-start-2":
+        "8b9cefb62761171057af20c003e9e5c5bfe08c57a4003e2896be05c5a5d681e1",
+    "overflow-nan-3":
+        "643ca72371ab8509bcc6b4e50714b710cd55ee57b0895d2b98d0163a585869c4",
+    "perturbed-constant-2":
+        "01de8fb7bcada9e36b32b0b5adec8ce57ef58071d082338107e0c95d9e9c083c",
+    "perturbed-linear-41":
+        "eb1fe33f8bb66cfa809959afd3984858e55dacda34b0ed70197b28a05d55226f",
+    "perturbed-sign-1":
+        "b9b81be719c5f4dea472447d23af76b2ea3220fbe9dba91feecff8aa3890fe92",
+    "perturbed-sign-41":
+        "14e301a241d4bce2ef75b8bc5a28cfa91281619fd932fc6b304504aa42267bbe",
+    "plain-linear-1":
+        "302c676c1d0176edc167d40300962e42dbf00b820bc0af71c38853250d9db756",
+    "plain-sign-2":
+        "bbc257873662a5acf191752a2ed14d8efefd6a7a89e46ab27e419f15c08b4319",
+    "plain-step-41":
+        "6de37f78a6be1c5ecaf76c9bc85f3660570e7047d84cd82e0eb153943066cf97",
+}
+
+
+def _coalescence(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tanaka_coalescence_experiment(**TANAKA_CASES[case])
+
+
+def _coalescence_digest(rep):
+    table = np.array([[r.dt, r.median_sup, r.mean_sup, r.reps] for r in rep.rows])
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TANAKA_CASES))
+def test_coalescence_golden(case):
+    assert _coalescence_digest(_coalescence(case)) == TANAKA_GOLDEN[case]
+
+
+def test_coalescence_sup_skips_nan_differences():
+    # a NaN difference never replaces the running sup, as `if diff > sup` does
+    assert all(r.median_sup == 0.0 for r in _coalescence("infinite-start-2").rows)
+    assert not any(math.isnan(r.median_sup) for r in _coalescence("overflow-nan-3").rows)
 
 
 def test_figure_style_heatmap_shows_two_wedges_and_ridge(tmp_path):
