@@ -18,9 +18,11 @@ import numpy as np
 
 from .core import ModelParams, ParameterError
 
-IP_TOL = 1e-9          # |s+ + s-| below this -> not strong (the verdict maker)
 SCALAR_TOL = 1e-12     # |weak_scalar + 1| below this -> not strong
-ANGLE_TOL = 1e-9       # |pi + vartheta - phi - psi| (mod 2 pi) below this
+# The criteria read one angle defect d: |s+ + s-| = 2 sin(d/2) ~ d (the
+# verdict maker), the wrapped |pi + vartheta - phi - psi| is d, and
+# |weak_scalar + 1| = 1 - cos d ~ d^2/2; so the cut-off on d matches it.
+IP_TOL = ANGLE_TOL = math.sqrt(2.0 * SCALAR_TOL)
 SQRT_RESIDUAL_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
@@ -140,31 +142,17 @@ def config_system_v(p: ModelParams) -> SqrtConfig:
     return build_config(p, 1, -1, 0.0, -math.pi / 2)
 
 
-def _axis_configs_plus() -> List[Tuple[int, float]]:
-    """(eps, phi) pairs generating diag(+-rho, +-sigma) and the antidiagonal
-    [[0, +-rho], [+-sigma, 0]] sign patterns, 8 in total."""
+def _axis_configs() -> List[Tuple[int, float]]:
+    """(sign, angle) pairs generating the 8 diagonal and antidiagonal sign
+    patterns of a block: diag(+-rho, +-sigma) and [[0, +-rho], [+-sigma, 0]]
+    for the plus block, the same with rho and sigma swapped for the minus
+    block."""
     out = []
     for a in (1, -1):           # diag: [[a rho, 0], [0, b sigma]]
         for b in (1, -1):
             phi = 0.0 if a == 1 else math.pi
             out.append((a * b, phi))
     for c in (1, -1):           # antidiag: [[0, c rho], [d sigma, 0]]
-        for dsg in (1, -1):
-            if c == -1:
-                out.append((dsg, math.pi / 2))
-            else:
-                out.append((-dsg, 3 * math.pi / 2))
-    return out
-
-
-def _axis_configs_minus() -> List[Tuple[int, float]]:
-    """Same sign patterns for the minus block diag(+-sigma, +-rho)."""
-    out = []
-    for a in (1, -1):
-        for b in (1, -1):
-            theta = 0.0 if a == 1 else math.pi
-            out.append((a * b, theta))
-    for c in (1, -1):
         for dsg in (1, -1):
             if c == -1:
                 out.append((dsg, math.pi / 2))
@@ -180,8 +168,8 @@ def enumerate_diagonal_roots(p: ModelParams):
     isotropic and degenerate cases and 56 otherwise.
     """
     configs, verdicts = [], []
-    for eps, phi in _axis_configs_plus():
-        for dlt, theta in _axis_configs_minus():
+    for eps, phi in _axis_configs():
+        for dlt, theta in _axis_configs():
             cfg = build_config(p, eps, dlt, phi, theta)
             configs.append(cfg)
             verdicts.append(strength(cfg))

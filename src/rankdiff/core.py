@@ -30,9 +30,14 @@ def sign(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("sign: input must be finite")
-    out = np.where(arr > 0.0, 1.0, -1.0)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
+    return scalar_or_array(np.where(arr > 0.0, 1.0, -1.0), x)
+
+
+def scalar_or_array(out, *args):
+    """The package's return rule: a Python float when every array argument
+    in args is 0-d, else out, the ndarray."""
+    if all(np.ndim(a) == 0 for a in args):
+        return float(np.asarray(out).item())
     return out
 
 

@@ -9,13 +9,13 @@ branch by the two exact model symmetries (relabel the particles, flip space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .bangbang import atom_density, atom_mass, transition_density
-from .core import InitialState, ModelParams, ParameterError
+from .core import InitialState, ModelParams, ParameterError, scalar_or_array
 from .tails import norm_sf
 
 ISO_TOL = 1e-12
@@ -44,7 +44,7 @@ def joint_density_isotropic(p: ModelParams, s0: InitialState, t: float, xi1, xi2
     xi2 = np.asarray(xi2, dtype=float)
     gap = transition_density(p, t, s0.y, xi1 - xi2)
     out = 2.0 * gap / np.sqrt(2.0 * np.pi * t) * np.exp(-((xi1 + xi2 - s0.z - p.nu * t) ** 2) / (2.0 * t))
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(out, xi1, xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     """
     _require_time(t)
     _check_degenerate(p, s0)
-    scalar = np.ndim(xi1) == 0 and np.ndim(xi2) == 0
+    args = xi1, xi2
     xi1, xi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(xi1, dtype=float)),
                                    np.atleast_1d(np.asarray(xi2, dtype=float)))
     front = front_location(p, s0, t)
@@ -94,7 +94,7 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     out = np.zeros(xi1.shape)
     out[in1] = wedge(xi2[in1], xi1[in1])
     out[in2] = wedge(xi1[in2], xi2[in2])
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out, *args)
 
 
 def atom_line_density(p: ModelParams, s0: InitialState, t: float, xi1):
@@ -104,14 +104,8 @@ def atom_line_density(p: ModelParams, s0: InitialState, t: float, xi1):
     """
     _require_time(t)
     _check_degenerate(p, s0)
-    scalar = np.ndim(xi1) == 0
-    arr = np.atleast_1d(np.asarray(xi1, dtype=float))
-    front = front_location(p, s0, t)
-    out = np.zeros_like(arr)
-    ok = arr > front
-    if s0.y > 0 and np.any(ok):
-        out[ok] = atom_density(p, s0.y, t, arr[ok] - front)
-    return float(out[0]) if scalar else out
+    out = _atom_vals(p, s0.y, t, np.asarray(xi1, dtype=float) - front_location(p, s0, t))
+    return scalar_or_array(out, xi1)
 
 
 def atom_line_mass(p: ModelParams, s0: InitialState, t: float) -> float:
@@ -126,7 +120,7 @@ def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
         raise ParameterError("front_jump is stated for y = 0")
     d = np.abs(np.asarray(gap, dtype=float))
     out = 2.0 * d / np.sqrt(2.0 * np.pi * t**3) * np.exp(-2.0 * p.lam * d - ((d - p.lam * t) ** 2) / (2.0 * t))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out, gap)
 
 
 def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rho2):
@@ -146,8 +140,7 @@ def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rh
         / np.sqrt(2.0 * np.pi * t**3)
         * np.exp(-2.0 * p.lam * (rho1 - rho2) - ((u + p.nu * t) ** 2) / (2.0 * t))
     )
-    out = np.where(rho2 <= front, vals, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.where(rho2 <= front, vals, 0.0), rho1, rho2)
 
 
 def rank_atom_density(p: ModelParams, s0: InitialState, t: float, rho1):
@@ -182,7 +175,7 @@ def quadrivariate_density(p: ModelParams, y: float, t: float, side: str, a, b, t
         / (2.0 * np.pi * t**2)
         * np.exp(-(theta**2 + (s - p.lam * t) ** 2) / (2.0 * t))
     )
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out, a, b, theta)
 
 
 def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
@@ -204,7 +197,7 @@ def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
     )
     if y == 0:
         out = np.zeros_like(out)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out, a, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
         raise ParameterError("psi_density requires rho > sigma > 0 (gamma > 0); reduce by symmetry first")
     if y < 0:
         raise ParameterError("psi_density requires y >= 0; relabel the particles first")
-    scalar = np.ndim(psi1) == 0 and np.ndim(psi2) == 0
+    args = psi1, psi2
     psi1, psi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(psi1, dtype=float)),
                                      np.atleast_1d(np.asarray(psi2, dtype=float)))
     lam, gam = p.lam, p.gamma
@@ -266,7 +259,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     if np.any(m):
         th = (r2 * psi1[m] + s2 * psi2[m] + gam * y) / rs
         out[m] += _psi_side_term(lam, t, y, delta, kappa, a_minus[m], th)
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out, *args)
 
 
 def joint_density_unequal(p: ModelParams, s0: InitialState, t: float, xi1, xi2):
@@ -322,32 +315,31 @@ def planar_atom(p: ModelParams, s0: InitialState, t: float) -> Optional[AtomLine
 
     Present exactly when one volatility vanishes and the particles start
     apart: the zero-volatility particle then travels deterministically on the
-    no-overtake event.
+    no-overtake event.  Built for sigma = 0 and x1 > x2, where x2 rides its
+    front; the other cases follow by relabeling and by flipping space.
     """
     _require_time(t)
     if not p.is_degenerate or s0.y == 0:
         return None
-    ay = abs(s0.y)
-    mass = atom_mass(p, ay, t)
-    if p.sigma == 0.0:
-        if s0.y > 0:
-            loc = s0.x2 + p.g * t
-            return AtomLine("x2", loc, +1, mass, lambda u: _atom_vals(p, ay, t, np.asarray(u) - loc))
-        loc = s0.x1 + p.g * t
-        return AtomLine("x1", loc, +1, mass, lambda u: _atom_vals(p, ay, t, np.asarray(u) - loc))
-    if s0.y > 0:
-        loc = s0.x1 - p.h * t
-        return AtomLine("x1", loc, -1, mass, lambda u: _atom_vals(p, ay, t, loc - np.asarray(u)))
-    loc = s0.x2 - p.h * t
-    return AtomLine("x2", loc, -1, mass, lambda u: _atom_vals(p, ay, t, loc - np.asarray(u)))
+    if p.sigma != 0.0:  # rho = 0: flip space; location, side and free coordinate change sign
+        a = planar_atom(p.swapped(), InitialState(-s0.x1, -s0.x2), t)
+        # 0.0 - v, not -v: an exact tie x = h t gives +0.0, as x - h t does
+        return replace(a, location=0.0 - a.location, side=-a.side,
+                       density=lambda u: a.density(-np.asarray(u, dtype=float)))
+    if s0.y < 0:  # relabel the particles: the other coordinate is pinned
+        a = planar_atom(p, s0.swapped(), t)
+        return replace(a, axis="x1" if a.axis == "x2" else "x2")
+    loc = front_location(p, s0, t)
+    return AtomLine("x2", loc, +1, atom_mass(p, s0.y, t),
+                    lambda u: _atom_vals(p, s0.y, t, np.asarray(u) - loc))
 
 
-def _atom_vals(p, ay, t, a):
+def _atom_vals(p, y, t, a):
     a = np.asarray(a, dtype=float)
     out = np.zeros_like(a)
     ok = a > 0
     if np.any(ok):
-        out[ok] = atom_density(p, ay, t, a[ok])
+        out[ok] = atom_density(p, y, t, a[ok])
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 from scipy.stats import chi2 as _chi2_dist
 
-from .core import ParameterError, SeedSpec
+from .core import ParameterError, SeedSpec, scalar_or_array
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ class PiecewiseBV:
             out = values[idx]
         else:
             out = np.interp(x, knots, values)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(out, x)
 
     @classmethod
     def sign(cls) -> "PiecewiseBV":
@@ -374,10 +374,6 @@ class CoalescenceReport:
     drive: str
     rows: tuple
 
-    @property
-    def medians(self):
-        return [r.median_sup for r in self.rows]
-
 
 def tanaka_coalescence_experiment(f: PiecewiseBV, dts: Sequence[float], reps: int,
                                   T: float = 1.0, drive: str = "perturbed",
@@ -397,7 +393,11 @@ def tanaka_coalescence_experiment(f: PiecewiseBV, dts: Sequence[float], reps: in
     """
     if drive not in ("perturbed", "plain"):
         raise ParameterError("drive must be 'perturbed' or 'plain'")
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
     dts = sorted(float(d) for d in dts)
+    if not dts or not all(math.isfinite(d) and d > 0 for d in dts):
+        raise ParameterError("every dt must be finite and > 0")
     dt_min = dts[0]
     n_fine = int(round(T / dt_min))
     for d in dts:

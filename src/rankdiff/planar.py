@@ -266,6 +266,17 @@ def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: 
 # exact construction and exact sampling
 # ---------------------------------------------------------------------------
 
+def _skew(p: ModelParams, s0: InitialState, t, yp, ym, el, q):
+    """The skew formula: (X1, X2) at times t from the gap's positive and
+    negative parts yp, ym, its local time el and the independent noise q."""
+    yp0, ym0 = max(s0.y, 0.0), max(-s0.y, 0.0)
+    r2, s2 = p.rho**2, p.sigma**2
+    common = p.mu * t - p.gamma * el + p.rho * p.sigma * q
+    x1 = s0.x1 + common + r2 * (yp - yp0) - s2 * (ym - ym0)
+    x2 = s0.x2 + common - s2 * (yp - yp0) + r2 * (ym - ym0)
+    return x1, x2
+
+
 def skew_construct(p: ModelParams, s0: InitialState, ypath: YPath, q_increments) -> PlanarPath:
     """Assemble (X1, X2) from a gap path, its local time, and independent noise.
 
@@ -280,14 +291,8 @@ def skew_construct(p: ModelParams, s0: InitialState, ypath: YPath, q_increments)
         raise ParameterError("gap path initial value does not match the initial state")
     t = ypath.times
     y = ypath.y_values
-    el = ypath.l_values
     q = np.concatenate([[0.0], np.cumsum(q_increments)])
-    yp, ym = np.maximum(y, 0.0), np.maximum(-y, 0.0)
-    yp0, ym0 = max(s0.y, 0.0), max(-s0.y, 0.0)
-    r2, s2 = p.rho**2, p.sigma**2
-    common = p.mu * t - p.gamma * el + p.rho * p.sigma * q
-    x1 = s0.x1 + common + r2 * (yp - yp0) - s2 * (ym - ym0)
-    x2 = s0.x2 + common - s2 * (yp - yp0) + r2 * (ym - ym0)
+    x1, x2 = _skew(p, s0, t, np.maximum(y, 0.0), np.maximum(-y, 0.0), ypath.l_values, q)
     raw = np.column_stack([ypath.w_increments, q_increments])
     return PlanarPath(p, t.copy(), x1, x2, "skew", raw)
 
@@ -321,13 +326,8 @@ def exact_sample_terminal(p: ModelParams, s0: InitialState, t: float, n_draws: i
     trip = sample_triples(p, s0.y, t, n_draws, rng)
     theta = rng.standard_normal(n_draws) * np.sqrt(t)
     plus = trip.sides > 0
-    yp = np.where(plus, trip.a, 0.0)
-    ym = np.where(plus, 0.0, trip.a)
-    yp0, ym0 = max(s0.y, 0.0), max(-s0.y, 0.0)
-    r2, s2 = p.rho**2, p.sigma**2
-    common = p.mu * t - p.gamma * (trip.b / 2.0) + p.rho * p.sigma * theta
-    x1 = s0.x1 + common + r2 * (yp - yp0) - s2 * (ym - ym0)
-    x2 = s0.x2 + common - s2 * (yp - yp0) + r2 * (ym - ym0)
+    x1, x2 = _skew(p, s0, t, np.where(plus, trip.a, 0.0), np.where(plus, 0.0, trip.a),
+                   trip.b / 2.0, theta)
     return TerminalSample(x1, x2, trip)
 
 

@@ -34,11 +34,6 @@ def norm_ppf(q):
     return ndtri(q)
 
 
-def norm_pdf(x, scale=1.0):
-    x = np.asarray(x, dtype=float) / scale
-    return np.exp(-0.5 * x * x) / (SQRT_2PI * scale)
-
-
 def gauss_tail(c, m, t):
     """int_c^inf exp(-(u-m)^2/(2t)) du, for t > 0."""
     st = np.sqrt(t)

@@ -16,37 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bangbang import tanaka_residual_series
-from .core import ModelParams, ParameterError, as_generator
+from .core import ModelParams, ParameterError, as_generator, scalar_or_array
 from .planar import PlanarPath, noise_bundle, ranks
 from .tails import log_gauss_tail, norm_sf
 
 DRIFT_CLAMP = 10.0  # |bhat| <= DRIFT_CLAMP / dt on the final backward steps
 _CLOSED_FORM_CHECK_TOL = 1e-8
-
-
-def _q_nonneg_start(lam: float, tau: float, y: float, xi: np.ndarray) -> np.ndarray:
-    """Score for a start y >= 0, all xi; log-space shifted for stability."""
-    out = np.empty_like(xi)
-    pos = xi > 0
-    if np.any(pos):
-        xp = xi[pos]
-        log_t1 = -((xp - y + lam * tau) ** 2) / (2.0 * tau)
-        log_t2 = np.log(lam) - 2.0 * lam * xp + log_gauss_tail(y + xp, lam * tau, tau)
-        log_h = np.log(lam) - 2.0 * lam * xp - ((y + xp - lam * tau) ** 2) / (2.0 * tau)
-        c1 = (xp - y + lam * tau) / tau
-        m = np.maximum(log_t1, log_t2)
-        t1, t2, hh = np.exp(log_t1 - m), np.exp(log_t2 - m), np.exp(log_h - m)
-        out[pos] = -(c1 * t1 + 2.0 * lam * t2 + hh) / (t1 + t2)
-    if np.any(~pos):
-        xn = xi[~pos]
-        log_t1 = 2.0 * lam * y - ((y - xn + lam * tau) ** 2) / (2.0 * tau)
-        log_t2 = np.log(lam) + 2.0 * lam * xn + log_gauss_tail(y - xn, lam * tau, tau)
-        log_h = np.log(lam) + 2.0 * lam * xn - ((y - xn - lam * tau) ** 2) / (2.0 * tau)
-        c1 = (y - xn + lam * tau) / tau
-        m = np.maximum(log_t1, log_t2)
-        t1, t2, hh = np.exp(log_t1 - m), np.exp(log_t2 - m), np.exp(log_h - m)
-        out[~pos] = (c1 * t1 + 2.0 * lam * t2 + hh) / (t1 + t2)
-    return out
 
 
 def _phi_drift(lam, tau, x):
@@ -69,8 +44,7 @@ def q_closed_form_origin(p: ModelParams, tau: float, xi):
     expo = np.exp(2.0 * lam * ax)
     num = (2.0 * lam - ax / tau) * phi + 2.0 * lam**2 * expo * tail
     den = phi + lam * expo * tail
-    out = np.where(xi > 0, -1.0, 1.0) * num / den
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.where(xi > 0, -1.0, 1.0) * num / den, xi)
 
 
 def backward_drift_display_origin(p: ModelParams, tau: float, xi):
@@ -89,24 +63,33 @@ def backward_drift_display_origin(p: ModelParams, tau: float, xi):
     expo = np.exp(-2.0 * lam * ax)
     num = (2.0 * lam + ax / tau) * phi + 2.0 * lam**2 * expo * tail
     den = phi + lam * expo * tail
-    out = np.where(xi > 0, 1.0, -1.0) * lam - num / den
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.where(xi > 0, 1.0, -1.0) * lam - num / den, xi)
 
 
 def q_function(p: ModelParams, y0: float, tau: float, xi, *, check_closed_form: bool = True):
     """Score q(tau, xi) = d/dxi log p_tau(y0, xi), vectorized over xi.
 
-    Starts y0 < 0 go through the mirror map.  For y0 = 0 the independent
-    closed form is evaluated alongside and agreement is asserted wherever its
-    plain evaluation is well-scaled.
+    One expression in a = |xi| with s = sign(xi) (sign(0) = -1) in front of
+    y0, as in the density it differentiates, taken in log space with a
+    shift for stability; a start y0 < 0 is the mirror image, q(y0, xi) =
+    -q(-y0, -xi).  For y0 = 0 the independent closed form is evaluated
+    alongside and agreement is asserted wherever its plain evaluation is
+    well-scaled.
     """
     if not tau > 0:
         raise ParameterError("q_function requires tau > 0")
+    lam, tau = p.lam, float(tau)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if y0 >= 0:
-        out = _q_nonneg_start(p.lam, float(tau), float(y0), xi_arr)
-    else:
-        out = -_q_nonneg_start(p.lam, float(tau), -float(y0), -xi_arr)
+    flip = -1.0 if y0 < 0 else 1.0
+    y, a = flip * float(y0), np.abs(xi_arr)
+    s = np.where(flip * xi_arr > 0, 1.0, -1.0)
+    log_t1 = (1.0 - s) * lam * y - ((a - s * y + lam * tau) ** 2) / (2.0 * tau)
+    log_t2 = np.log(lam) - 2.0 * lam * a + log_gauss_tail(y + a, lam * tau, tau)
+    log_h = np.log(lam) - 2.0 * lam * a - ((y + a - lam * tau) ** 2) / (2.0 * tau)
+    c1 = (a - s * y + lam * tau) / tau
+    m = np.maximum(log_t1, log_t2)
+    t1, t2, hh = np.exp(log_t1 - m), np.exp(log_t2 - m), np.exp(log_h - m)
+    out = -flip * s * (c1 * t1 + 2.0 * lam * t2 + hh) / (t1 + t2)
     if y0 == 0 and check_closed_form:
         safe = np.abs(xi_arr) <= p.lam * tau + 20.0 * np.sqrt(tau)
         if np.any(safe):
@@ -114,9 +97,7 @@ def q_function(p: ModelParams, y0: float, tau: float, xi, *, check_closed_form: 
             rel = np.abs(out[safe] - ref) / np.maximum(np.abs(ref), 1e-300)
             if np.max(rel) > _CLOSED_FORM_CHECK_TOL:
                 raise RuntimeError(f"origin closed form disagrees with analytic score: rel={np.max(rel):.3e}")
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return float(out[0])
-    return out
+    return scalar_or_array(out, xi)
 
 
 def backward_drift(p: ModelParams, y0: float, tau: float, xi, mode: str = "transient"):
@@ -128,12 +109,10 @@ def backward_drift(p: ModelParams, y0: float, tau: float, xi, mode: str = "trans
     xi_arr = np.asarray(xi, dtype=float)
     sgn = np.where(xi_arr > 0, 1.0, -1.0)
     if mode == "steady_state":
-        out = -p.lam * sgn
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(-p.lam * sgn, xi)
     if mode != "transient":
         raise ParameterError("mode must be 'transient' or 'steady_state'")
-    out = p.lam * sgn + q_function(p, y0, tau, xi_arr, check_closed_form=False)
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(p.lam * sgn + q_function(p, y0, tau, xi_arr, check_closed_form=False), xi)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,35 @@ def test_criteria_agree_on_random_sweep():
     assert weak / 10_000 < 0.01
 
 
+def test_criteria_agree_on_a_near_weak_config():
+    # angle defect 8.7e-7: 1 - cos of it is 3.8e-13, under the scalar cut-off
+    # 1e-12, so the other two criteria must read it as weak as well
+    p = params(0.17434422615974432, 0.9846847672249023)
+    cfg = classifier.build_config(p, -1, 1, 4.026637496698281, 5.597434697673112)
+    v = classifier.strength(cfg)
+    assert not v.strong and v.geom_holds
+    assert 8e-7 < v.ip_sum_norm <= classifier.IP_TOL and 8e-7 < v.geom_defect <= classifier.ANGLE_TOL
+
+
+def test_criteria_agree_near_the_weak_set():
+    # angle defects log-uniform over 1e-10 .. 1e-3 around the weak set, where
+    # the three criteria straddle their cut-offs unless those match
+    rng = SeedSpec(23).generator()
+    for _ in range(2_000):
+        u = rng.uniform(0.02, math.pi / 2 - 0.02)
+        p = params(math.cos(u), math.sin(u))
+        eps, dlt = (1 if rng.random() < 0.5 else -1), (1 if rng.random() < 0.5 else -1)
+        phi = rng.uniform(0, 2 * math.pi)
+        psi = classifier.build_config(p, eps, dlt, phi, 0.0).psi
+        defect = 10 ** rng.uniform(-10, -3) * (1 if rng.random() < 0.5 else -1)
+        cfg = classifier.build_config(p, eps, dlt, phi, phi + psi - math.pi + defect)
+        verdict = classifier.strength(cfg)  # raises if the criteria disagree
+        if abs(defect) < classifier.IP_TOL / 2:
+            assert not verdict.strong
+        elif abs(defect) > 2 * classifier.IP_TOL:
+            assert verdict.strong
+
+
 def test_verdict_fields_consistent():
     p = params(0.8, 0.6)
     v = classifier.strength(classifier.config_system_v(p))

@@ -167,6 +167,14 @@ def test_tanaka_bad_dts_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--reps=0", "--dts=0", "--dts=-1e-2"])
+def test_tanaka_bad_reps_or_step_is_usage_error(tmp_path, capsys, flag):
+    code = run(["tanaka", flag, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "rankdiff tanaka:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_svg_golden_file(tmp_path):
     import numpy as np
     from rankdiff import densities

@@ -99,3 +99,95 @@ def test_seedspec_validation():
         SeedSpec(1, -1)
     with pytest.raises(ParameterError):
         SeedSpec(2**64, 0)
+
+
+# ---------------------------------------------------------------------------
+# the scalar/array return rule of every public law, and the public names
+# ---------------------------------------------------------------------------
+
+def _return_rule_laws():
+    from rankdiff import harness, timereversal
+    import rankdiff as rd
+
+    p_iso = validate_params(1.0, 0.5, 1.0, 1.0, renormalize=True)
+    p_deg = validate_params(1.0, 1.0, 1.0, 0.0)
+    p_gen = validate_params(1.0, 0.5, 0.8, 0.6)
+    p_flip = validate_params(0.5, 1.0, 0.6, 0.8)
+    s0, s_tie, s_neg = InitialState(0.3, 0.0), InitialState(0.1, 0.1), InitialState(-0.2, 0.4)
+    # name: (law of the array arguments, their scalar values)
+    return {
+        "sign": (rd.sign, (0.3,)),
+        "transition_density": (lambda y, xi: rd.transition_density(p_gen, 1.0, y, xi), (0.2, -0.4)),
+        "invariant_density": (lambda xi: rd.invariant_density(p_gen, xi), (-0.4,)),
+        "triple_density": (lambda a, b: rd.triple_density(p_gen, 0.3, 1.0, a, b), (0.4, 0.2)),
+        "atom_density": (lambda a: rd.atom_density(p_gen, 0.3, 1.0, a), (0.4,)),
+        "joint_density_isotropic":
+            (lambda a, b: rd.joint_density_isotropic(p_iso, s0, 1.0, a, b), (0.1, -0.2)),
+        "joint_density_degenerate":
+            (lambda a, b: rd.joint_density_degenerate(p_deg, s0, 1.0, a, b), (0.6, -0.2)),
+        "atom_line_density": (lambda a: rd.atom_line_density(p_deg, s0, 1.0, a), (1.6,)),
+        "front_jump": (lambda d: rd.front_jump(p_deg, s_tie, 1.0, d), (0.4,)),
+        "rank_density_degenerate":
+            (lambda a, b: rd.rank_density_degenerate(p_deg, s0, 1.0, a, b), (0.6, -0.2)),
+        "quadrivariate_density":
+            (lambda a, b, th: rd.quadrivariate_density(p_gen, 0.3, 1.0, "plus", a, b, th),
+             (0.4, 0.2, -0.1)),
+        "quadrivariate_atom_density":
+            (lambda a, th: rd.quadrivariate_atom_density(p_gen, 0.3, 1.0, a, th), (0.4, -0.1)),
+        "psi_density": (lambda a, b: rd.psi_density(p_gen, 0.3, 1.0, a, b), (0.1, -0.2)),
+        "planar_density-isotropic":
+            (lambda a, b: rd.planar_density(p_iso, s_neg, 1.0, a, b), (0.1, -0.2)),
+        "planar_density-degenerate":
+            (lambda a, b: rd.planar_density(p_deg, s_neg, 1.0, a, b), (0.1, -0.2)),
+        "planar_density-unequal":
+            (lambda a, b: rd.planar_density(p_flip, s_neg, 1.0, a, b), (0.1, -0.2)),
+        "q_function": (lambda xi: rd.q_function(p_gen, 0.0, 0.7, xi), (-0.4,)),
+        "backward_drift-transient": (lambda xi: rd.backward_drift(p_gen, 0.2, 0.7, xi), (-0.4,)),
+        "backward_drift-steady_state":
+            (lambda xi: rd.backward_drift(p_gen, 0.2, 0.7, xi, mode="steady_state"), (-0.4,)),
+        "q_closed_form_origin": (lambda xi: timereversal.q_closed_form_origin(p_gen, 0.7, xi), (-0.4,)),
+        "backward_drift_display_origin":
+            (lambda xi: timereversal.backward_drift_display_origin(p_gen, 0.7, xi), (-0.4,)),
+        "PiecewiseBV-constant": (harness.PiecewiseBV.sign(), (0.3,)),
+        "PiecewiseBV-linear": (harness.PiecewiseBV("linear", (-1.0, 1.0), (0.5, 2.0)), (0.3,)),
+    }
+
+
+RETURN_RULE_LAWS = _return_rule_laws()
+
+
+@pytest.mark.parametrize("name", sorted(RETURN_RULE_LAWS))
+def test_return_rule_float_for_scalars_ndarray_otherwise(name):
+    law, args = RETURN_RULE_LAWS[name]
+    for wrap in (float, np.float64, np.array):
+        assert type(law(*map(wrap, args))) is float
+    for k in range(len(args)):  # one argument as an array, the others scalars
+        one = [np.full((3, 1), a) if i == k else a for i, a in enumerate(args)]
+        out = law(*one)
+        assert type(out) is np.ndarray and out.shape == (3, 1)
+        assert type(law(*[[a] if i == k else a for i, a in enumerate(args)])) is np.ndarray
+    if len(args) > 1:  # every argument an array: the broadcast shape
+        out = law(*[np.full((3, 1) if i == 0 else (2,), a) for i, a in enumerate(args)])
+        assert type(out) is np.ndarray and out.shape == (3, 2)
+
+
+def test_public_names_pinned():
+    import rankdiff
+    assert sorted(rankdiff.__all__) == [
+        "AtomLine", "BackwardDriftSpec", "DensityGrid", "ExperimentConfig", "GofReport",
+        "InitialState", "ModelParams", "NoiseBundle", "ParameterError", "PiecewiseBV",
+        "PlanarPath", "SeedSpec", "SqrtConfig", "StrengthVerdict", "TerminalSample",
+        "TripleDraw", "YPath", "atom_density", "atom_line_density", "atom_mass",
+        "backward_drift", "backward_rank_drift_report", "bangbang", "build_config",
+        "classifier", "core", "densities", "density_grid", "emit_svg_heatmap",
+        "enumerate_diagonal_roots", "euler_simulate", "euler_terminal_batch",
+        "exact_sample_terminal", "front_jump", "gap_path_of", "harness", "invariant_density",
+        "joint_density_degenerate", "joint_density_isotropic", "noise_bundle",
+        "occupation_local_time", "planar", "planar_atom", "planar_density", "psi_density",
+        "q_function", "quadrivariate_atom_density", "quadrivariate_density",
+        "rank_density_degenerate", "rank_residuals", "ranks", "run_validation_suite",
+        "sample_triple", "sample_triples", "sign", "simulate_backward", "simulate_y",
+        "skew_construct", "strength", "svgplot", "tails", "tanaka_coalescence_experiment",
+        "tanaka_residual_local_time", "timereversal", "transition_density", "triple_density",
+        "validate_params", "validation",
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -417,3 +418,90 @@ def test_density_grid_mass_and_invariants():
     total = grid.total_mass()
     assert total <= 1.0 + 1e-6
     assert total > 0.9  # window and resolution catch nearly all mass
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the laws over every symmetry case
+# ---------------------------------------------------------------------------
+
+# isotropic, rho = 1 (two rate pairs), rho = 0, gamma > 0 (h = 0 too), gamma < 0
+PIN_PARAMS = [validate_params(1.0, 0.5, 1.0, 1.0, renormalize=True),
+              validate_params(1.0, 1.0, 1.0, 0.0), validate_params(0.6, 1.4, 1.0, 0.0),
+              validate_params(1.3, 0.4, 0.0, 1.0), validate_params(1.0, 0.5, 0.8, 0.6),
+              validate_params(1.2, 0.0, 0.96, 0.28), validate_params(0.8, 0.3, 0.28, 0.96)]
+PIN_STARTS = [InitialState(-0.2, 0.4), InitialState(0.25, 0.25), InitialState(0.3, -0.1)]
+PIN_TIMES = (0.3, 1.0, 2.5)
+PIN_XI1 = np.linspace(-3.0, 3.5, 27)
+PIN_XI2 = np.linspace(-3.2, 3.0, 23)
+# a Python float, a numpy scalar and a 0-d array, then a list and an array
+PIN_POINTS = [(0.1, -0.2), (np.float64(-0.5), np.array(0.7)), ([1.3], np.array([1.3, -0.4]))]
+
+
+def typed_digest(values):
+    """sha256 over values with the type of each: a float, a numpy scalar, an
+    ndarray (dtype, shape, bytes), a str, an int or None each hash apart."""
+    h = hashlib.sha256()
+    for v in values:
+        h.update(type(v).__name__.encode())
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype.str}{v.shape}".encode() + v.tobytes())
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()
+
+
+def _pin_cases():
+    for p in PIN_PARAMS:
+        for s0 in PIN_STARTS:
+            for t in PIN_TIMES:
+                yield p, s0, t
+
+
+def _pin_values(law):
+    for i, (p, s0, t) in enumerate(_pin_cases()):
+        degenerate_case = p.sigma == 0.0 and s0.y >= 0
+        if law == "planar_density":
+            yield densities.planar_density(p, s0, t, PIN_XI1[:, None], PIN_XI2[None, :])
+            for a, b in PIN_POINTS:
+                yield densities.planar_density(p, s0, t, a, b)
+        elif law == "planar_atom":
+            atom = densities.planar_atom(p, s0, t)
+            if atom is None:
+                yield None
+                continue
+            yield from (atom.axis, atom.location, atom.side, atom.mass)
+            yield atom.density(PIN_XI1)
+            yield atom.density(np.array(atom.location + atom.side * 0.3))
+        elif law == "exact_sample_terminal":
+            d = planar.exact_sample_terminal(p, s0, t, 64, SeedSpec(20240601, i))
+            yield from (d.x1, d.x2, d.triples.sides, d.triples.a, d.triples.b, d.triples.atom)
+        elif law == "joint_density_degenerate" and degenerate_case:
+            yield densities.joint_density_degenerate(p, s0, t, PIN_XI1[:, None], PIN_XI2[None, :])
+            for a, b in PIN_POINTS:
+                yield densities.joint_density_degenerate(p, s0, t, a, b)
+        elif law == "atom_line_density" and degenerate_case:
+            yield densities.atom_line_density(p, s0, t, PIN_XI1)
+            for a, _ in PIN_POINTS:
+                yield densities.atom_line_density(p, s0, t, a)
+        elif law == "skew_construct":
+            ypath = bangbang.euler_gap_path(p.lam, s0.y, t, 150, SeedSpec(20240601, i))
+            q_inc = SeedSpec(20240602, i).generator().standard_normal(150) * math.sqrt(t / 150)
+            path = planar.skew_construct(p, s0, ypath, q_inc)
+            yield from (path.x1_values, path.x2_values, path.raw_increments)
+
+
+# recorded before the symmetry cases were reduced to the canonical one and
+# the scalar/array return rule was given one home
+LAW_GOLDEN = {
+    "planar_density": "2ef49b9306f39b6af3bc49290b6129562408f1c9a80327bb388ca600bdb69b22",
+    "planar_atom": "fd77dbdb84e047dd7fd3d93268d777fb391ffdfb23582bedbd51a446ab5dc107",
+    "exact_sample_terminal": "b5714df3ae81531132c2282720227e35633f7781847b87ca11c6b05880b62f7c",
+    "joint_density_degenerate": "c2f779fc26548bb5822774de7101d64db56af123adb6c880531a9083f89bdbdc",
+    "atom_line_density": "44ac7f0eb6657c611afc09bcc44179cb258733f301f20e2ccc9fed521a28c6d8",
+    "skew_construct": "5bf849aaa0fd2418878338fe83c672a8238abbf476335db724919efebb21c11e",
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAW_GOLDEN))
+def test_laws_match_golden_digest(law):
+    assert typed_digest(_pin_values(law)) == LAW_GOLDEN[law]

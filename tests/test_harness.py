@@ -214,6 +214,13 @@ def test_coalescence_requires_nested_steps():
         tanaka_coalescence_experiment(PiecewiseBV.sign(), [8e-3, 5e-4], reps=2, T=0.5)
 
 
+@pytest.mark.parametrize("dts,reps", [([1e-2], 0), ([1e-2], -3), ([0.0], 2), ([-1e-2], 2),
+                                      ([1e-2, math.nan], 2), ([math.inf], 2), ([], 2)])
+def test_coalescence_rejects_bad_reps_and_steps(dts, reps):
+    with pytest.raises(ParameterError):
+        tanaka_coalescence_experiment(PiecewiseBV.sign(), dts, reps=reps)
+
+
 _SIGN = PiecewiseBV.sign()
 _STEP = PiecewiseBV("constant", (0.1,), (-0.3, 0.9))
 _LINEAR = PiecewiseBV("linear", (-1.0, 0.0, 1.0), (0.5, -1.0, 2.0))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -237,3 +238,56 @@ def test_rank_reversal_residuals_decay_with_refinement():
     assert fine[1] / coarse[1] <= 0.85
     # residuals are small against the O(1) scale of the rank increments
     assert fine[0] < 0.45 and fine[1] < 0.45
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the score and the backward drift
+# ---------------------------------------------------------------------------
+
+PIN_XI = np.linspace(-4.0, 4.0, 81)
+# a Python float, a numpy scalar, a 0-d array, a signed zero, then a list
+PIN_SCALARS = (-1.1, np.float64(0.7), np.array(0.0), -0.0, [0.4])
+
+
+def typed_digest(values):
+    """sha256 over values with the type of each: a float, a numpy scalar or
+    an ndarray (dtype, shape, bytes) each hash apart."""
+    h = hashlib.sha256()
+    for v in values:
+        h.update(type(v).__name__.encode())
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype.str}{v.shape}".encode() + v.tobytes())
+        else:
+            h.update(repr(v).encode())
+    return h.hexdigest()
+
+
+def _score_values(fn):
+    for lam in (0.5, 2.0, 3.7):
+        p = params(lam)
+        for y0 in (-0.6, 0.0, 0.4):
+            for tau in (0.3, 1.0, 2.5):
+                yield fn(p, y0, tau, PIN_XI)
+                for xi in PIN_SCALARS:
+                    yield fn(p, y0, tau, xi)
+
+
+SCORE_LAWS = {
+    "q_function": timereversal.q_function,
+    "backward_drift-transient": timereversal.backward_drift,
+    "backward_drift-steady_state":
+        lambda p, y0, tau, xi: timereversal.backward_drift(p, y0, tau, xi, mode="steady_state"),
+}
+
+# recorded before the two halves of the score were written as one expression
+# and the scalar/array return rule was given one home
+SCORE_GOLDEN = {
+    "q_function": "3c0ba8f2e6e19146561bc331150678e0388a99f5fc5da30c08b6da757e1c2a1c",
+    "backward_drift-transient": "59c20720f24c28f0b8996532b3e42eada0f605e045363ed19bf0d44f22c8b1e9",
+    "backward_drift-steady_state": "575250330dd5ba9b2a2c3b8cb1aec4393e296f727b84aef62e4d073fcb36456e",
+}
+
+
+@pytest.mark.parametrize("law", sorted(SCORE_GOLDEN))
+def test_score_and_drift_match_golden_digest(law):
+    assert typed_digest(_score_values(SCORE_LAWS[law])) == SCORE_GOLDEN[law]
