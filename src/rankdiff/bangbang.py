@@ -44,13 +44,6 @@ class YPath:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def reversed(self) -> "YPath":
-        """Time-reversed trajectory on the same grid (local time recomputed)."""
-        y_rev = self.y_values[::-1].copy()
-        w_rev = -self.w_increments[::-1].copy()
-        l_rev = tanaka_residual_series(y_rev)
-        return YPath(self.times.copy(), y_rev, w_rev, l_rev)
-
 
 # ---------------------------------------------------------------------------
 # transition density

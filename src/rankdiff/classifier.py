@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
 
 import numpy as np
 
@@ -38,6 +37,30 @@ def _wrap_angle(x: float) -> float:
     return out
 
 
+# (cos, sin) at the quarter turns, exact, so blocks built there are signed
+# permutations with no trig residue
+_QUARTER_TURNS = {0.0: (1.0, 0.0), math.pi / 2: (0.0, 1.0), math.pi: (-1.0, 0.0),
+                  -math.pi / 2: (0.0, -1.0)}
+
+
+def _cos_sin(angle: float):
+    return _QUARTER_TURNS.get(_wrap_angle(angle)) or (math.cos(angle), math.sin(angle))
+
+
+def unit_blocks(eps: int, dlt: int, phi: float, vartheta: float) -> np.ndarray:
+    """The per-state orthogonal unit blocks U[s] of a configuration, s = 0
+    (down, x1 <= x2) or 1 (up): a reflection sign times a rotation."""
+    cp, sp = _cos_sin(phi)
+    ct, st = _cos_sin(vartheta)
+    return np.array([[[ct, -st], [dlt * st, dlt * ct]], [[cp, -sp], [eps * sp, eps * cp]]])
+
+
+def volatilities(rho: float, sigma: float) -> np.ndarray:
+    """vol[s, i], the volatility of X_{i+1} in state s: (sigma, rho) down and
+    (rho, sigma) up.  The square root in state s is vol[s, :, None] * U[s]."""
+    return np.array([[sigma, rho], [rho, sigma]])
+
+
 @dataclass(frozen=True)
 class SqrtConfig:
     """One square-root configuration (eps, root_sign_minus, phi, vartheta).
@@ -54,6 +77,7 @@ class SqrtConfig:
     root_sign_minus: int
     phi: float
     vartheta: float
+    unit: np.ndarray = field(init=False, compare=False, repr=False)
     sigma_plus: np.ndarray = field(init=False, compare=False, repr=False)
     sigma_minus: np.ndarray = field(init=False, compare=False, repr=False)
     psi: float = field(init=False)
@@ -63,10 +87,9 @@ class SqrtConfig:
         if eps not in (-1, 1) or dlt not in (-1, 1):
             raise ParameterError("root signs must be +1 or -1")
         rho, sg = self.rho, self.sigma
-        cp, sp = math.cos(self.phi), math.sin(self.phi)
-        ct, st = math.cos(self.vartheta), math.sin(self.vartheta)
-        s_plus = np.array([[rho * cp, -rho * sp], [eps * sg * sp, eps * sg * cp]])
-        s_minus = np.array([[sg * ct, -sg * st], [dlt * rho * st, dlt * rho * ct]])
+        unit = unit_blocks(eps, dlt, self.phi, self.vartheta)
+        s_minus, s_plus = volatilities(rho, sg)[..., None] * unit
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "sigma_plus", s_plus)
         object.__setattr__(self, "sigma_minus", s_minus)
         # psi in (-pi, pi] with cos psi = rho sigma (1 + eps delta),
@@ -129,36 +152,30 @@ def strength(cfg: SqrtConfig) -> StrengthVerdict:
     )
 
 
-# named example configurations: the three systems discussed in the text
+# the three systems discussed in the text, as (eps, delta, phi, vartheta):
+# the name-noise system B and the intertwined systems W and V.  This table is
+# their only definition; planar reads its Euler steps and noises from it.
+SYSTEMS = {"B": (1, 1, 0.0, 0.0), "W": (-1, 1, 0.0, -math.pi / 2), "V": (1, -1, 0.0, -math.pi / 2)}
+
+
 def config_system_b(p: ModelParams) -> SqrtConfig:
-    return build_config(p, 1, 1, 0.0, 0.0)
+    return build_config(p, *SYSTEMS["B"])
 
 
 def config_system_w(p: ModelParams) -> SqrtConfig:
-    return build_config(p, -1, 1, 0.0, -math.pi / 2)
+    return build_config(p, *SYSTEMS["W"])
 
 
 def config_system_v(p: ModelParams) -> SqrtConfig:
-    return build_config(p, 1, -1, 0.0, -math.pi / 2)
+    return build_config(p, *SYSTEMS["V"])
 
 
-def _axis_configs() -> List[Tuple[int, float]]:
-    """(sign, angle) pairs generating the 8 diagonal and antidiagonal sign
-    patterns of a block: diag(+-rho, +-sigma) and [[0, +-rho], [+-sigma, 0]]
-    for the plus block, the same with rho and sigma swapped for the minus
-    block."""
-    out = []
-    for a in (1, -1):           # diag: [[a rho, 0], [0, b sigma]]
-        for b in (1, -1):
-            phi = 0.0 if a == 1 else math.pi
-            out.append((a * b, phi))
-    for c in (1, -1):           # antidiag: [[0, c rho], [d sigma, 0]]
-        for dsg in (1, -1):
-            if c == -1:
-                out.append((dsg, math.pi / 2))
-            else:
-                out.append((-dsg, 3 * math.pi / 2))
-    return out
+# (sign, angle) of the 8 diagonal and antidiagonal sign patterns of a block,
+# in enumeration order: each reflection sign at each quarter turn.  In the plus
+# block 0 and pi give diag(+-rho, +-sigma), pi/2 and 3 pi/2 give
+# [[0, +-rho], [+-sigma, 0]]; the minus block swaps rho and sigma.
+_AXIS_CONFIGS = [(1, 0.0), (-1, 0.0), (-1, math.pi), (1, math.pi),
+                 (-1, 3 * math.pi / 2), (1, 3 * math.pi / 2), (1, math.pi / 2), (-1, math.pi / 2)]
 
 
 def enumerate_diagonal_roots(p: ModelParams):
@@ -168,8 +185,8 @@ def enumerate_diagonal_roots(p: ModelParams):
     isotropic and degenerate cases and 56 otherwise.
     """
     configs, verdicts = [], []
-    for eps, phi in _axis_configs():
-        for dlt, theta in _axis_configs():
+    for eps, phi in _AXIS_CONFIGS:
+        for dlt, theta in _AXIS_CONFIGS:
             cfg = build_config(p, eps, dlt, phi, theta)
             configs.append(cfg)
             verdicts.append(strength(cfg))

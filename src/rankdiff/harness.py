@@ -176,6 +176,21 @@ def tabulate_pdf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n
     return grid, cdf
 
 
+def gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
+               cuts: Sequence[float] = ()):
+    """Gauss-Legendre nodes/weights over [lo, hi], panels split at cuts."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    pts, wts = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        sub = np.linspace(a, b, n_panels + 1)
+        half = np.diff(sub) / 2.0
+        mid = (sub[1:] + sub[:-1]) / 2.0
+        pts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
+        wts.append((half[:, None] * weights[None, :]).ravel())
+    return np.concatenate(pts), np.concatenate(wts)
+
+
 def expected_cell_masses(density2d: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          edges1: np.ndarray, edges2: np.ndarray,
                          subdiv: int = 4, order: int = 8) -> np.ndarray:
@@ -184,28 +199,15 @@ def expected_cell_masses(density2d: Callable[[np.ndarray, np.ndarray], np.ndarra
     Per-cell tensor Gauss-Legendre on subdiv^2 panels; cells must be aligned
     with any density discontinuity lines (pass them as edges).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n1, n2 = len(edges1) - 1, len(edges2) - 1
+    def axis(edges):
+        pts, wts = gl_points(edges[0], edges[-1], subdiv, order, cuts=edges[1:-1])
+        return pts, wts, np.repeat(np.arange(len(edges) - 1), subdiv * order)
 
-    def panel_points(edges, n_cells):
-        # all (cell, panel, node) evaluation points and weights along one axis
-        pts, wts, owner = [], [], []
-        for c in range(n_cells):
-            a, b = edges[c], edges[c + 1]
-            sub = np.linspace(a, b, subdiv + 1)
-            for s in range(subdiv):
-                half = (sub[s + 1] - sub[s]) / 2.0
-                mid = (sub[s + 1] + sub[s]) / 2.0
-                pts.append(mid + half * nodes)
-                wts.append(half * weights)
-                owner.append(np.full(order, c))
-        return np.concatenate(pts), np.concatenate(wts), np.concatenate(owner)
-
-    p1, w1, o1 = panel_points(edges1, n1)
-    p2, w2, o2 = panel_points(edges2, n2)
+    p1, w1, o1 = axis(edges1)
+    p2, w2, o2 = axis(edges2)
     vals = density2d(p1[:, None], p2[None, :]) * w1[:, None] * w2[None, :]
-    out = np.zeros((n1, n2))
-    np.add.at(out, (o1[:, None] + np.zeros_like(o2[None, :]), np.zeros((len(o1), 1), dtype=int) + o2[None, :]), vals)
+    out = np.zeros((len(edges1) - 1, len(edges2) - 1))
+    np.add.at(out, (o1[:, None], o2[None, :]), vals)
     return out
 
 

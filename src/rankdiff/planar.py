@@ -3,9 +3,11 @@ exact construction from the gap process, exact terminal sampling, and ranks.
 
 Four systems of SDEs share the generator: the name-noise system "B", the two
 intertwined systems "W" and "V", and an arbitrary square-root configuration
-of the covariance matrix.  All of them keep their raw driving increments so
-any derived Brownian motion can be reconstructed after the fact; that is the
-mechanism behind every path-identity test in this package.
+of the covariance matrix.  Each is read from one description, its per-state
+unit blocks U[s] (the names from classifier.SYSTEMS).  All of them keep
+their raw driving increments so any derived Brownian motion can be
+reconstructed after the fact; that is the mechanism behind every
+path-identity test in this package.
 """
 
 from __future__ import annotations
@@ -17,12 +19,24 @@ import numpy as np
 
 from .bangbang import (YPath, TripleBatch, sample_triples, skorokhod_local_time_series,
                        tanaka_residual_series)
-from .classifier import SqrtConfig
+from .classifier import SYSTEMS, SqrtConfig, unit_blocks, volatilities
 from .core import InitialState, ModelParams, ParameterError, as_generator
 
 SystemKind = Union[str, SqrtConfig]  # "B" | "W" | "V" | square-root config
 
-_NAMED_KINDS = ("B", "W", "V")
+
+def _described(unit: np.ndarray):
+    """(U, perm): perm = (src, sign) with U[s, i] = sign[s, i] e_{src[s, i]}
+    when every unit row has one nonzero entry, else None."""
+    nonzero = unit != 0
+    if not (nonzero.sum(axis=-1) == 1).all():
+        return unit, None
+    src = nonzero.argmax(axis=-1)
+    return unit, (src, np.take_along_axis(unit, src[..., None], axis=-1)[..., 0])
+
+
+# the named systems do not depend on the parameters: described once, here
+_NAMED = {name: _described(unit_blocks(*angles)) for name, angles in SYSTEMS.items()}
 
 
 @dataclass(frozen=True)
@@ -35,7 +49,7 @@ class PlanarPath:
     x2_values: np.ndarray
     kind: str                      # "B", "W", "V", "custom", "skew"
     raw_increments: np.ndarray     # shape (n_steps, 2)
-    config: Optional[SqrtConfig] = None
+    unit: Optional[np.ndarray] = None  # the system's unit blocks U[s]; None for skew
 
     @property
     def dt(self) -> float:
@@ -101,46 +115,41 @@ class NoiseBundle:
         return np.concatenate([[0.0], np.cumsum(self.increments(name))])
 
 
+def _system(kind: SystemKind):
+    if isinstance(kind, SqrtConfig):
+        return _described(kind.unit)
+    if isinstance(kind, str) and kind in _NAMED:
+        return _NAMED[kind]
+    raise ParameterError(f"system kind must be one of {tuple(_NAMED)} or a SqrtConfig, got {kind!r}")
+
+
+def _step_units(path: PlanarPath) -> np.ndarray:
+    """The unit block in force at each step, shape (n_steps, 2, 2)."""
+    if path.unit is None:
+        raise ParameterError(f"driving noise undefined for kind {path.kind!r}")
+    return path.unit[path.up.astype(np.intp)]
+
+
 def noise_bundle(path: PlanarPath) -> NoiseBundle:
-    """Rebuild (W1, W2) and (V1, V2) increments from a named-system path."""
+    """Rebuild (W1, W2) and (V1, V2) increments of a B, W, V or custom path.
+
+    Every system is system B driven by u = U[s] dz, its unit block in state s
+    applied to the raw increments: dW1 = u0 up, -u1 down; dW2 = -u1 up, u0
+    down; dV = (s dW1, -s dW2) with s = +1 up, -1 down.
+    """
     up = path.up
-    r1, r2 = path.raw_increments[:, 0], path.raw_increments[:, 1]
-    if path.kind == "B":
-        dw1 = np.where(up, r1, -r2)
-        dw2 = np.where(up, -r2, r1)
-        dv1 = np.where(up, r1, r2)
-        dv2 = np.where(up, r2, r1)
-    elif path.kind == "W":
-        dw1, dw2 = r1, r2
-        s = np.where(up, 1.0, -1.0)
-        dv1, dv2 = s * r1, -s * r2
-    elif path.kind == "V":
-        dv1, dv2 = r1, r2
-        s = np.where(up, 1.0, -1.0)
-        dw1, dw2 = s * r1, -s * r2
-    else:
-        raise ParameterError(f"noise bundle undefined for kind {path.kind!r}")
-    return NoiseBundle(path.params, path.times, dw1, dw2, dv1, dv2)
-
-
-def _noise_matrices(kind: SystemKind, p: ModelParams) -> np.ndarray:
-    """Per-state noise matrix m[s] of a system, s = 0 (down) or 1 (up): in
-    state s, the noise of X_{i+1} is sum_j m[s, i, j] dz_j."""
-    _, coef, src = _step_table(kind, p, 1.0)
-    if src is None:
-        return np.moveaxis(coef, -1, 0)
-    m = np.zeros((2, 2, 2))
-    for i in (0, 1):
-        for s in (0, 1):
-            m[s, i, src[i, s]] = coef[i, s]
-    return m
+    u = (_step_units(path) * path.raw_increments[:, None, :]).sum(axis=-1)
+    dw1 = np.where(up, u[:, 0], -u[:, 1])
+    dw2 = np.where(up, -u[:, 1], u[:, 0])
+    s = np.where(up, 1.0, -1.0)
+    return NoiseBundle(path.params, path.times, dw1, dw2, s * dw1, -s * dw2)
 
 
 def _projected_increments(path: PlanarPath, sign: float) -> np.ndarray:
     """Increments of the noise driving X1 + sign * X2, from the raw increments."""
-    m = _noise_matrices(path.config if path.kind == "custom" else path.kind, path.params)
-    c = (m[:, 0] + sign * m[:, 1])[path.up.astype(np.intp)]
-    return (c * path.raw_increments).sum(axis=1)
+    vol = volatilities(path.params.rho, path.params.sigma)[path.up.astype(np.intp)]
+    m = vol[..., None] * _step_units(path)
+    return ((m[:, 0] + sign * m[:, 1]) * path.raw_increments).sum(axis=1)
 
 
 def gap_driver_increments(path: PlanarPath) -> np.ndarray:
@@ -171,22 +180,22 @@ def gap_path_of(path: PlanarPath) -> YPath:
 # ---------------------------------------------------------------------------
 
 def _step_table(kind: SystemKind, p: ModelParams, dt: float):
-    """Per-state Euler step of a system: (drift, coef, src), row i for X_{i+1}.
+    """Per-state Euler step of a system: (drift, coef, src).
 
-    Column s is the state: 0 = down (x1 <= x2, ties included), 1 = up.  A step
-    is x_i + drift[i, s] + noise_i.  B, W and V are signed permutations,
-    noise_i = coef[i, s] * dz[src[i, s]]; a custom square root has two terms,
-    noise_i = coef[i, 0, s] * dz[0] + coef[i, 1, s] * dz[1], and src is None.
+    State s is 0 = down (x1 <= x2, ties included) or 1 = up.  A step is
+    x_i + drift[i, s] + noise_i, with the noise in state s the square root
+    m[s] = volatilities x unit block U[s].  Where every unit row has one
+    nonzero entry (B, W, V and any quarter-turn configuration) the block is a
+    signed permutation, noise_i = coef[i, s] * dz[src[i, s]]; otherwise
+    coef = m, noise = m[s] @ dz, and src is None.
     """
-    g, h, rho, sg = p.g, p.h, p.rho, p.sigma
-    drift = np.array([[g * dt, -h * dt], [-h * dt, g * dt]])
-    if isinstance(kind, SqrtConfig):
-        return drift, np.stack([kind.sigma_minus, kind.sigma_plus], axis=-1), None
-    if kind not in _NAMED_KINDS:
-        raise ParameterError(f"system kind must be one of {_NAMED_KINDS} or a SqrtConfig, got {kind!r}")
-    coef = [[sg, rho], [-rho, -sg] if kind == "W" else [rho, sg]]
-    src = [[0, 0], [1, 1]] if kind == "B" else [[1, 0], [0, 1]]
-    return drift, np.array(coef), np.array(src, dtype=np.intp)
+    drift = np.array([[p.g * dt, -p.h * dt], [-p.h * dt, p.g * dt]])
+    vol = volatilities(p.rho, p.sigma)
+    unit, perm = _system(kind)
+    if perm is None:
+        return drift, vol[..., None] * unit, None
+    src, sign = perm                                   # both [s, i]
+    return drift, (vol * sign).T, src.T
 
 
 def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
@@ -210,7 +219,7 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
             raise ParameterError("increments must have shape (n_steps, 2)")
     d1, d2 = drift.tolist()
     if src is None:  # a 2x2 matmul rounds differently from two products and a sum
-        sig = (kind.sigma_minus, kind.sigma_plus)
+        sig = tuple(coef)
     else:
         (c1, c2), (j1, j2) = coef.tolist(), src.tolist()
     x1, x2 = float(s0.x1), float(s0.x2)
@@ -225,8 +234,8 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
         xs1.append(x1)
         xs2.append(x2)
     times = np.linspace(0.0, T, n_steps + 1)
-    tag, cfg = ("custom", kind) if src is None else (kind, None)
-    return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, cfg)
+    tag = "custom" if isinstance(kind, SqrtConfig) else kind
+    return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, _system(kind)[0])
 
 
 def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: float,
@@ -254,8 +263,8 @@ def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: 
             x += np.take(drift[i], s, out=buf, mode="clip")
             for state in (0, 1):
                 if src is None:
-                    np.multiply(coef[i, 0, state], dz[0], out=noise[state])
-                    noise[state] += np.multiply(coef[i, 1, state], dz[1], out=buf)
+                    np.multiply(coef[state, i, 0], dz[0], out=noise[state])
+                    noise[state] += np.multiply(coef[state, i, 1], dz[1], out=buf)
                 else:
                     np.multiply(coef[i, state], dz[src[i, state]], out=noise[state])
             x += np.take(noise, pick, out=buf, mode="clip")

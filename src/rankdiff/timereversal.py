@@ -24,27 +24,37 @@ DRIFT_CLAMP = 10.0  # |bhat| <= DRIFT_CLAMP / dt on the final backward steps
 _CLOSED_FORM_CHECK_TOL = 1e-8
 
 
-def _phi_drift(lam, tau, x):
-    return np.exp(-((x + lam * tau) ** 2) / (2.0 * tau)) / np.sqrt(2.0 * np.pi * tau)
+def _origin_ratio(p: ModelParams, tau: float, xi):
+    """(xi, num / den) of the two y0 = 0 displays, in a = |xi|: the plain
+    form, and the same ratio in log space where both of its terms underflow."""
+    if not tau > 0:
+        raise ParameterError("require tau > 0")
+    lam, xi = p.lam, np.asarray(xi, dtype=float)
+    a = np.atleast_1d(np.abs(xi))
+
+    def terms(a, phi, expo, tail):
+        return (2.0 * lam + a / tau) * phi + 2.0 * lam**2 * expo * tail, phi + lam * expo * tail
+
+    phi = np.exp(-((a + lam * tau) ** 2) / (2.0 * tau)) / np.sqrt(2.0 * np.pi * tau)
+    num, den = terms(a, phi, np.exp(-2.0 * lam * a), norm_sf((a - lam * tau) / np.sqrt(tau)))
+    under = den == 0
+    if np.any(under):  # both terms scaled by sqrt(2 pi tau), then by their maximum
+        au = a[under]
+        log_phi = -((au + lam * tau) ** 2) / (2.0 * tau)
+        log_tail = -2.0 * lam * au + log_gauss_tail(au, lam * tau, tau)
+        top = np.maximum(log_phi, log_tail)
+        num[under], den[under] = terms(au, np.exp(log_phi - top), 1.0, np.exp(log_tail - top))
+    return xi, (num / den).reshape(xi.shape)
 
 
 def q_closed_form_origin(p: ModelParams, tau: float, xi):
     """Score for a start at the origin, via the displayed closed form.
 
-    Stated for xi <= 0 and extended to xi > 0 by oddness.  Plain (non-log)
-    evaluation; intended as a cross-check on moderate |xi|.
+    Stated for xi <= 0 and extended to xi > 0 by oddness; intended as a
+    cross-check on moderate |xi|.
     """
-    if not tau > 0:
-        raise ParameterError("require tau > 0")
-    xi = np.asarray(xi, dtype=float)
-    lam = p.lam
-    ax = -np.abs(xi)  # evaluate the xi <= 0 branch
-    phi = _phi_drift(lam, tau, -ax)
-    tail = norm_sf((-ax - lam * tau) / np.sqrt(tau))
-    expo = np.exp(2.0 * lam * ax)
-    num = (2.0 * lam - ax / tau) * phi + 2.0 * lam**2 * expo * tail
-    den = phi + lam * expo * tail
-    return scalar_or_array(np.where(xi > 0, -1.0, 1.0) * num / den, xi)
+    xi, ratio = _origin_ratio(p, tau, xi)
+    return scalar_or_array(np.where(xi > 0, -1.0, 1.0) * ratio, xi)
 
 
 def backward_drift_display_origin(p: ModelParams, tau: float, xi):
@@ -53,17 +63,8 @@ def backward_drift_display_origin(p: ModelParams, tau: float, xi):
     Its sign placement is only consistent with the generic score for xi > 0;
     the reconciled drift for all xi is backward_drift(..., y0=0).
     """
-    if not tau > 0:
-        raise ParameterError("require tau > 0")
-    xi = np.asarray(xi, dtype=float)
-    lam = p.lam
-    ax = np.abs(xi)
-    phi = _phi_drift(lam, tau, ax)
-    tail = norm_sf((ax - lam * tau) / np.sqrt(tau))
-    expo = np.exp(-2.0 * lam * ax)
-    num = (2.0 * lam + ax / tau) * phi + 2.0 * lam**2 * expo * tail
-    den = phi + lam * expo * tail
-    return scalar_or_array(np.where(xi > 0, 1.0, -1.0) * lam - num / den, xi)
+    xi, ratio = _origin_ratio(p, tau, xi)
+    return scalar_or_array(np.where(xi > 0, 1.0, -1.0) * p.lam - ratio, xi)
 
 
 def q_function(p: ModelParams, y0: float, tau: float, xi, *, check_closed_form: bool = True):

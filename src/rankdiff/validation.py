@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
 from .core import InitialState, ModelParams, SeedSpec, validate_params
-from .harness import (GofReport, binomial_z, chi2_against_density, ks_statistic,
+from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, ks_statistic,
                       ks_two_sample, pmap_batches)
 
 # stream id blocks per check, so adding draws to one never shifts another
@@ -40,24 +40,9 @@ def _report(kind, name, stat, tol, n, mode="le", p_value=None, note=""):
     return GofReport(kind, name, float(stat), float(tol), int(n), mode, p_value, note)
 
 
-def _gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
-               cuts: Sequence[float] = ()):
-    """Gauss-Legendre nodes/weights over [lo, hi], panels split at cuts."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    pts, wts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, n_panels + 1)
-        half = np.diff(sub) / 2.0
-        mid = (sub[1:] + sub[:-1]) / 2.0
-        pts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
-        wts.append((half[:, None] * weights[None, :]).ravel())
-    return np.concatenate(pts), np.concatenate(wts)
-
-
 def _integrate_kinked(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       kinks: Sequence[float] = (), n_panels: int = 24) -> float:
-    pts, wts = _gl_points(lo, hi, n_panels, cuts=kinks)
+    pts, wts = gl_points(lo, hi, n_panels, cuts=kinks)
     return float(np.sum(fn(pts) * wts))
 
 
@@ -67,41 +52,34 @@ def _mass_rotated(density2: Callable, u_lo, u_hi, s_lo, s_hi, u_cuts=(), n_panel
     Kink lines of the planar laws are gap-diagonal, i.e. vertical in (u, s);
     pass them as u_cuts and the integrand is smooth per panel.
     """
-    pu, wu = _gl_points(u_lo, u_hi, n_panels, cuts=u_cuts)
-    ps, ws = _gl_points(s_lo, s_hi, n_panels)
+    pu, wu = gl_points(u_lo, u_hi, n_panels, cuts=u_cuts)
+    ps, ws = gl_points(s_lo, s_hi, n_panels)
     xi1 = (ps[None, :] + pu[:, None]) / 2.0
     xi2 = (ps[None, :] - pu[:, None]) / 2.0
     vals = density2(xi1, xi2)
     return 0.5 * float(np.einsum("i,j,ij->", wu, ws, vals))
 
 
-def _mass_wedges_degenerate(p: ModelParams, s0: InitialState, t: float,
-                            scale: float = 1.0, n_panels: int = 28) -> float:
-    """Continuous mass of the degenerate law, per-wedge parametrization.
+def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
+                       scale: float = 1.0, n_panels: int = 28):
+    """Continuous masses of the degenerate joint and rank laws, per-wedge
+    parametrization.
 
     On each wedge the density is smooth in (gap u > 0, pinned-side w), with
     w bounded above by the front.
     """
     front = densities.front_location(p, s0, t)
     hw = abs(s0.y) + p.lam * t + 13 * math.sqrt(t) + 3
-    pu, wu = _gl_points(1e-12, hw, n_panels)
-    pw, ww = _gl_points(front - hw, front, n_panels)
-    x_hi = pw[None, :] + pu[:, None]
-    total = float(np.einsum("i,j,ij->", wu, ww,
-                            densities.joint_density_degenerate(p, s0, t, x_hi, pw[None, :] + 0 * pu[:, None])))
-    total += float(np.einsum("i,j,ij->", wu, ww,
-                             densities.joint_density_degenerate(p, s0, t, pw[None, :] + 0 * pu[:, None], x_hi)))
-    return scale * total
+    pu, wu = gl_points(1e-12, hw, n_panels)
+    pw, ww = gl_points(front - hw, front, n_panels)
+    x_hi, x_lo = pw[None, :] + pu[:, None], pw[None, :] + 0 * pu[:, None]
 
+    def mass(vals):
+        return float(np.einsum("i,j,ij->", wu, ww, vals))
 
-def _mass_rank_degenerate(p: ModelParams, s0: InitialState, t: float,
-                          scale: float = 1.0, n_panels: int = 28) -> float:
-    front = densities.front_location(p, s0, t)
-    hw = abs(s0.y) + p.lam * t + 13 * math.sqrt(t) + 3
-    pu, wu = _gl_points(1e-12, hw, n_panels)
-    pw, ww = _gl_points(front - hw, front, n_panels)
-    vals = densities.rank_density_degenerate(p, s0, t, pw[None, :] + pu[:, None], pw[None, :] + 0 * pu[:, None])
-    return scale * float(np.einsum("i,j,ij->", wu, ww, vals))
+    joint = mass(densities.joint_density_degenerate(p, s0, t, x_hi, x_lo))
+    joint += mass(densities.joint_density_degenerate(p, s0, t, x_lo, x_hi))
+    return scale * joint, scale * mass(densities.rank_density_degenerate(p, s0, t, x_hi, x_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +166,7 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
     for lam, t in ((2.0, 1.0), (1.0, 0.5), (5.0, 0.2)):
         p = _params_for_lam(lam)
         for name, s0 in [("fig2", InitialState(0.0, 0.0)), ("apart", InitialState(0.5, 0.0))]:
-            cont = _mass_wedges_degenerate(p, s0, t, scale=density_scale)
+            cont, rk = _masses_degenerate(p, s0, t, scale=density_scale)
             front = densities.front_location(p, s0, t)
             line = _integrate_kinked(
                 lambda u: density_scale * densities.atom_line_density(p, s0, t, u),
@@ -196,7 +174,6 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
             reports.append(_report("sup", f"normalization/degenerate-{name}/lam={lam:g},t={t:g}",
                                    abs(cont + line - 1.0), tol, 1,
                                    note=f"atom mass {densities.atom_line_mass(p, s0, t):.6f}"))
-            rk = _mass_rank_degenerate(p, s0, t, scale=density_scale)
             reports.append(_report("sup", f"normalization/rank-degenerate-{name}/lam={lam:g},t={t:g}",
                                    abs(rk + line - 1.0), tol, 1))
 

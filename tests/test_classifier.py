@@ -32,6 +32,35 @@ def test_named_example_matrices():
     np.testing.assert_allclose(v.sigma_minus, [[0.0, 0.6], [0.8, 0.0]], atol=1e-15)
 
 
+def test_quarter_turns_give_exact_signed_permutations():
+    p = params(0.8, 0.6)
+    np.testing.assert_array_equal(classifier.config_system_w(p).sigma_minus, [[0.0, 0.6], [-0.8, 0.0]])
+    np.testing.assert_array_equal(classifier.config_system_v(p).sigma_minus, [[0.0, 0.6], [0.8, 0.0]])
+    cfgs, _, _ = classifier.enumerate_diagonal_roots(p)
+    for cfg in cfgs:
+        assert set(np.abs(cfg.unit).ravel()) == {0.0, 1.0}
+        assert np.all(np.count_nonzero(cfg.unit, axis=-1) == 1)
+    # 3 pi / 2 and -pi / 2 are the same quarter turn
+    a = classifier.build_config(p, 1, -1, 2 * math.pi, 3 * math.pi / 2)
+    np.testing.assert_array_equal(a.unit, classifier.config_system_v(p).unit)
+
+
+def test_other_angles_keep_the_plain_trig_blocks():
+    rng = SeedSpec(29).generator()
+    for _ in range(500):
+        u = rng.uniform(0.02, math.pi / 2 - 0.02)
+        p = params(math.cos(u), math.sin(u))
+        eps, dlt = (1 if rng.random() < 0.5 else -1), (1 if rng.random() < 0.5 else -1)
+        phi, theta = rng.uniform(-math.pi, math.pi, 2)
+        cfg = classifier.build_config(p, eps, dlt, phi, theta)
+        cp, sp, ct, st = math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta)
+        rho, sg = p.rho, p.sigma
+        plus = np.array([[rho * cp, -rho * sp], [eps * sg * sp, eps * sg * cp]])
+        minus = np.array([[sg * ct, -sg * st], [dlt * rho * st, dlt * rho * ct]])
+        assert cfg.sigma_plus.tobytes() == plus.tobytes()
+        assert cfg.sigma_minus.tobytes() == minus.tobytes()
+
+
 @pytest.mark.parametrize("rho,sigma", RHO_SIGMA_CASES)
 def test_named_example_verdicts(rho, sigma):
     p = params(rho, sigma)

@@ -236,11 +236,13 @@ EXPORT_CASES = {
     "tanaka": ["tanaka", "--reps", "5"],
 }
 # sha256 of every file each invocation writes at seed 20240601, recorded with
-# the per-cell CSV writer, the per-cell SVG loop and the scalar Tanaka loop
+# the per-cell CSV writer, the per-cell SVG loop and the scalar Tanaka loop;
+# "classify" re-pinned when quarter-turn angles began to give exact 0/+-1
+# blocks (17 ip_sum_norm cells lost their trig residue; verdicts unchanged)
 EXPORT_GOLDEN = {
     "classify": {
         "classify.csv":
-            "e85519e30c85915654d745b0b276e6035a77819114f33a8ab53282b9ec7b7505",
+            "a799049941cef7161ff5f9b9062056204e7a1560cbb99a6b9d609da470b5fe16",
     },
     "density-degenerate-svg": {
         "heatmap.svg":

@@ -14,6 +14,11 @@ P_GEN = validate_params(1.0, 0.5, 0.8, 0.6)
 ALL_KINDS = ["B", "W", "V"]
 
 
+def _kind(label, p):
+    """A named system, or for "custom" a dense square root at non-quarter angles."""
+    return classifier.build_config(p, -1, 1, 1.2, -0.4) if label == "custom" else label
+
+
 # ---------------------------------------------------------------------------
 # Euler simulation
 # ---------------------------------------------------------------------------
@@ -31,10 +36,10 @@ def test_drift_only_skeleton_flips_order():
     assert np.all(np.abs(path.y_values[400:]) <= 1.5 / n * 3)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS + ["custom"])
 def test_sum_identity_exact_per_step(kind):
     s0 = InitialState(0.4, -0.1)
-    path = planar.euler_simulate(kind, P_GEN, s0, 1.0, 2000, SeedSpec(3))
+    path = planar.euler_simulate(_kind(kind, P_GEN), P_GEN, s0, 1.0, 2000, SeedSpec(3))
     v = planar.noise_bundle(path).path("V")
     lhs = path.x1_values + path.x2_values
     rhs = s0.z + P_GEN.nu * path.times + v
@@ -69,35 +74,50 @@ def test_unknown_kind_rejected():
 # ---------------------------------------------------------------------------
 
 def test_bundle_quadratic_variation_and_orthogonality():
-    path = planar.euler_simulate("B", P_GEN, InitialState(0.1, 0.0), 1.0, 20_000, SeedSpec(11))
-    b = planar.noise_bundle(path)
-    for name in ("W", "V", "U", "Q", "Wflat", "Vflat", "Uflat", "Qflat"):
-        qv = float(np.sum(b.increments(name) ** 2))
-        assert abs(qv - 1.0) <= 0.05, name
-    cross = float(np.sum(b.increments("W") * b.increments("Uflat")))
-    assert abs(cross) <= 0.05
+    for label in ("B", "custom"):
+        path = planar.euler_simulate(_kind(label, P_GEN), P_GEN, InitialState(0.1, 0.0), 1.0,
+                                     20_000, SeedSpec(11))
+        b = planar.noise_bundle(path)
+        for name in ("W", "V", "U", "Q", "Wflat", "Vflat", "Uflat", "Qflat"):
+            qv = float(np.sum(b.increments(name) ** 2))
+            assert abs(qv - 1.0) <= 0.05, (label, name)
+        cross = float(np.sum(b.increments("W") * b.increments("Uflat")))
+        assert abs(cross) <= 0.05, label
 
 
 def test_reconstructed_rank_noises_uncorrelated():
     n_steps = 20_000
-    path = planar.euler_simulate("B", P_DEG, InitialState(0.0, 0.0), 1.0, n_steps, SeedSpec(13))
-    b = planar.noise_bundle(path)
-    dv1, dv2 = b.increments("V1"), b.increments("V2")
-    r = np.corrcoef(dv1, dv2)[0, 1]
-    assert abs(r) <= 3 / math.sqrt(n_steps)
+    for label in ("B", "custom"):
+        path = planar.euler_simulate(_kind(label, P_DEG), P_DEG, InitialState(0.0, 0.0), 1.0,
+                                     n_steps, SeedSpec(13))
+        b = planar.noise_bundle(path)
+        dv1, dv2 = b.increments("V1"), b.increments("V2")
+        r = np.corrcoef(dv1, dv2)[0, 1]
+        assert abs(r) <= 3 / math.sqrt(n_steps), label
 
 
 def test_intertwinement_round_trip():
     # V1 = int sign dW1 and W1 = int sign dV1, exactly, step by step
-    path = planar.euler_simulate("B", P_GEN, InitialState(0.3, 0.0), 1.0, 2000, SeedSpec(17))
-    b = planar.noise_bundle(path)
-    s = np.where(path.y_values[:-1] > 0, 1.0, -1.0)
-    np.testing.assert_allclose(b.increments("V1"), s * b.increments("W1"), atol=1e-15)
-    np.testing.assert_allclose(b.increments("W1"), s * b.increments("V1"), atol=1e-15)
-    np.testing.assert_allclose(b.increments("V2"), -s * b.increments("W2"), atol=1e-15)
-    # V = int sign dWflat, Q = int sign dUflat
-    np.testing.assert_allclose(b.increments("V"), s * b.increments("Wflat"), atol=1e-14)
-    np.testing.assert_allclose(b.increments("Q"), s * b.increments("Uflat"), atol=1e-14)
+    for label in ("B", "custom"):
+        path = planar.euler_simulate(_kind(label, P_GEN), P_GEN, InitialState(0.3, 0.0), 1.0,
+                                     2000, SeedSpec(17))
+        b = planar.noise_bundle(path)
+        s = np.where(path.y_values[:-1] > 0, 1.0, -1.0)
+        np.testing.assert_allclose(b.increments("V1"), s * b.increments("W1"), atol=1e-15)
+        np.testing.assert_allclose(b.increments("W1"), s * b.increments("V1"), atol=1e-15)
+        np.testing.assert_allclose(b.increments("V2"), -s * b.increments("W2"), atol=1e-15)
+        # V = int sign dWflat, Q = int sign dUflat
+        np.testing.assert_allclose(b.increments("V"), s * b.increments("Wflat"), atol=1e-14)
+        np.testing.assert_allclose(b.increments("Q"), s * b.increments("Uflat"), atol=1e-14)
+
+
+def test_noise_readers_reject_skew_paths():
+    s0 = InitialState(0.3, 0.0)
+    path = planar.skew_construct(P_GEN, s0, *_skew_inputs(P_GEN, s0))
+    with pytest.raises(ParameterError):
+        planar.noise_bundle(path)
+    with pytest.raises(ParameterError):
+        planar.sum_driver_increments(path)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +217,12 @@ def test_ranks_basic_identities():
 def test_rank_dynamics_residuals_vanish_in_discrete_scheme(n_steps):
     # identity R1 = r1 - h t + rho V1 + L is exact for the discrete scheme:
     # the residual reduces to float roundoff, well inside the O(sqrt(dt)) claim
-    path = planar.euler_simulate("B", P_GEN, InitialState(0.3, 0.0), 1.0, n_steps, SeedSpec(43))
-    res1, res2 = planar.rank_residuals(path)
-    assert np.abs(res1).max() <= 1e-9
-    assert np.abs(res2).max() <= 1e-9
+    for label in ("B", "custom"):
+        path = planar.euler_simulate(_kind(label, P_GEN), P_GEN, InitialState(0.3, 0.0), 1.0,
+                                     n_steps, SeedSpec(43))
+        res1, res2 = planar.rank_residuals(path)
+        assert np.abs(res1).max() <= 1e-10, label
+        assert np.abs(res2).max() <= 1e-10, label
 
 
 def test_skorokhod_running_max_formula_order():
@@ -255,10 +277,6 @@ GOLDEN_PARAMS = [(1.0, 0.5, 0.8, 0.6), (1.0, 1.0, 1.0, 0.0), (0.0, 0.7, 0.0, 1.0
 GOLDEN_STARTS = [InitialState(0, 0), InitialState(0.3, -0.1), InitialState(-0.2, 0.4)]
 
 
-def _golden_kind(label, p):
-    return classifier.build_config(p, -1, 1, 1.2, -0.4) if label == "custom" else label
-
-
 def _sha256(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -279,7 +297,7 @@ _PATH_READERS = {
 def _golden_arrays(kernel, label):
     for i, raw in enumerate(GOLDEN_PARAMS):
         p = validate_params(*raw)
-        kind = _golden_kind(label, p)
+        kind = _kind(label, p)
         for j, s0 in enumerate(GOLDEN_STARTS):
             seed = SeedSpec(20240601, 10 * i + j)
             if kernel == "simulate":
@@ -346,7 +364,7 @@ def test_gap_readings_match_golden_digest(key):
 @pytest.mark.parametrize("s0", GOLDEN_STARTS)
 def test_batch_of_one_is_the_single_path_terminal_point(label, raw, s0):
     p = validate_params(*raw)
-    kind = _golden_kind(label, p)
+    kind = _kind(label, p)
     path = planar.euler_simulate(kind, p, s0, 0.9, 500, SeedSpec(61))
     x1, x2 = planar.euler_terminal_batch(kind, p, s0, 0.9, 500, 1, SeedSpec(61))
     end = np.array([path.x1_values[-1], path.x2_values[-1]])
@@ -359,6 +377,29 @@ def test_batch_of_one_is_the_single_path_terminal_point(label, raw, s0):
         np.testing.assert_allclose(got, end, rtol=0, atol=500 * np.finfo(float).eps * scale)
     else:
         assert got.tobytes() == end.tobytes()
+
+
+_CONFIG_OF = {"B": classifier.config_system_b, "W": classifier.config_system_w,
+              "V": classifier.config_system_v}
+
+
+@pytest.mark.parametrize("label", ALL_KINDS)
+@pytest.mark.parametrize("kernel", ["simulate", "batch"])
+def test_named_config_drives_the_named_system_bytes(kernel, label):
+    # the classifier's (eps, delta, phi, vartheta) table is the one definition
+    # of B, W and V: its configurations step exactly as the names do
+    for raw in GOLDEN_PARAMS:
+        p = validate_params(*raw)
+        for j, s0 in enumerate(GOLDEN_STARTS):
+            runs = []
+            for kind in (label, _CONFIG_OF[label](p)):
+                if kernel == "simulate":
+                    path = planar.euler_simulate(kind, p, s0, 1.0, 300, SeedSpec(67, j))
+                    runs.append(np.concatenate([path.x1_values, path.x2_values]).tobytes())
+                else:
+                    out = planar.euler_terminal_batch(kind, p, s0, 0.7, 40, 257, SeedSpec(67, j))
+                    runs.append(np.concatenate(out).tobytes())
+            assert runs[0] == runs[1], (raw, s0)
 
 
 @pytest.mark.parametrize("t,n_steps,n_paths", [(0.0, 10, 5), (-1.0, 10, 5), (math.nan, 10, 5),

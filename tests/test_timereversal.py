@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rankdiff import bangbang, planar, timereversal
+from rankdiff import bangbang, classifier, planar, timereversal
 from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
 from rankdiff.harness import ks_two_sample
 
@@ -87,6 +87,17 @@ def test_steady_state_drift_is_exact_negation():
     b = timereversal.backward_drift(P2, 0.0, 1.0, xi, mode="steady_state")
     forward = -P2.lam * np.where(xi > 0, 1.0, -1.0)
     np.testing.assert_array_equal(b, forward)
+
+
+def test_origin_closed_forms_finite_where_plain_terms_underflow():
+    # at xi = 20, tau = 0.1 both terms of the plain ratio underflow to 0
+    xi = np.array([-40.0, -20.0, 20.0, 40.0])
+    closed = timereversal.q_closed_form_origin(P2, 0.1, xi)
+    generic = timereversal.q_function(P2, 0.0, 0.1, xi, check_closed_form=False)
+    np.testing.assert_allclose(closed, generic, rtol=1e-10)
+    disp = timereversal.backward_drift_display_origin(P2, 0.1, xi[2:])
+    np.testing.assert_allclose(disp, timereversal.backward_drift(P2, 0.0, 0.1, xi[2:]), rtol=1e-10)
+    assert math.isfinite(timereversal.backward_drift_display_origin(P2, 0.1, -20.0))
 
 
 def test_origin_display_matches_generic_on_positive_side_only():
@@ -214,6 +225,14 @@ def test_rank_reversal_report_coefficients():
     assert abs(rep.lt_coeff2 - 0.5) < 1e-12
     assert abs(rep.drift1 - (p.h - 2 * p.lam * p.rho**2)) < 1e-12
     assert abs(rep.drift2 - (2 * p.lam * p.sigma**2 - p.g)) < 1e-12
+
+
+def test_rank_reversal_report_reads_custom_paths():
+    p = validate_params(1.0, 1.0, math.sqrt(0.73), math.sqrt(0.27), renormalize=True)
+    cfg = classifier.build_config(p, -1, 1, 1.2, -0.4)
+    path = planar.euler_simulate(cfg, p, InitialState(0.2, 0.0), 1.0, 300, SeedSpec(47))
+    rep = timereversal.backward_rank_drift_report(p, [path])
+    assert rep.n_paths == 1 and math.isfinite(rep.rms1) and math.isfinite(rep.rms2)
 
 
 def _rank_rms(n_steps, n_paths, seed):
