@@ -16,6 +16,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,6 +248,8 @@ class TripleDraw:
 
 
 def _check_triple_domain(y, t):
+    if not (math.isfinite(y) and math.isfinite(t)):
+        raise ParameterError("y and t must be finite")
     if y < 0:
         raise ParameterError("joint gap/local-time laws require y >= 0 (mirror y < 0 upstream)")
     if not t > 0:
@@ -318,6 +321,25 @@ class TripleBatch:
 
 
 _MAX_REJECTION_ROUNDS = 10_000
+_ENVELOPE_STRIDE = 160  # 251 coarse points of the 40,001-point envelope grid
+
+
+def _ratio(s, lam: float, t: float, y: float):
+    """Target over proposal of _sample_s_marginal, up to a constant factor."""
+    return -np.expm1(-2.0 * lam * (s - y)) * s * np.exp(-((s - lam * t) ** 2) / (4.0 * t))
+
+
+def _envelope(lam: float, t: float, y: float) -> float:
+    """The envelope constant of _sample_s_marginal (see there)."""
+    hi = y + lam * t + 14.0 * np.sqrt(t) + 10.0
+    grid = np.linspace(max(y, 1e-12), hi, 40_001)
+    coarse = grid[::_ENVELOPE_STRIDE]
+    with np.errstate(divide="ignore"):  # log f(y) = -inf at the left end when y > 0
+        log_f = (np.log(-np.expm1(-2.0 * lam * (coarse - y))) + np.log(coarse)
+                 - (coarse - lam * t) ** 2 / (4.0 * t))
+    k = int(np.argmax(log_f)) * _ENVELOPE_STRIDE
+    window = grid[max(k - 2 * _ENVELOPE_STRIDE, 0):k + 2 * _ENVELOPE_STRIDE + 1]
+    return _ratio(window, lam, t, y).max() * (1.0 + 1e-6)
 
 
 def _sample_s_marginal(lam: float, t: float, y: float, n: int, rng) -> np.ndarray:
@@ -325,13 +347,23 @@ def _sample_s_marginal(lam: float, t: float, y: float, n: int, rng) -> np.ndarra
 
     Target: (1 - exp(-2 lam (s-y))) * s * exp(-(s - lam t)^2 / (2t)).
     Proposal: N(lam t, 2t) truncated to (y, inf) -- the doubled variance
-    dominates the linear factor, so the ratio has a finite maximum; the
-    envelope constant is found by maximizing the ratio on a grid.
+    dominates the linear factor, so the ratio
+    f(s) = (1 - exp(-2 lam (s-y))) * s * exp(-(s - lam t)^2 / (4t))
+    has a finite maximum.  The envelope constant is the maximum of f on the
+    40,001-point grid linspace(max(y, 1e-12), y + lam t + 14 sqrt(t) + 10),
+    times 1 + 1e-6.
+
+    f is strictly log-concave on s > y (the log of each of its three
+    factors is concave), hence unimodal, so its peak and its grid maximum
+    lie within one stride of the peak of log f over every 160th grid point.
+    log f has no underflow plateau, so that coarse search finds the peak
+    even where f itself underflows to 0 on most of the grid.  f is then
+    evaluated only on the grid points within two strides of the coarse peak
+    (one stride of margin for rounding).  Their maximum is the maximum over
+    the whole grid, bit for bit, so the envelope, and with it every draw, is
+    the one a scan of all 40,001 points gives.
     """
-    hi = y + lam * t + 14.0 * np.sqrt(t) + 10.0
-    grid = np.linspace(max(y, 1e-12), hi, 40_001)
-    ratio_grid = -np.expm1(-2.0 * lam * (grid - y)) * grid * np.exp(-((grid - lam * t) ** 2) / (4.0 * t))
-    env = ratio_grid.max() * (1.0 + 1e-6)
+    env = _envelope(lam, t, y)
     out = np.empty(n)
     idx = np.arange(n)
     lo_q = norm_cdf((y - lam * t) / np.sqrt(2.0 * t))
@@ -340,8 +372,7 @@ def _sample_s_marginal(lam: float, t: float, y: float, n: int, rng) -> np.ndarra
             break
         u = lo_q + rng.random(idx.size) * (1.0 - lo_q)
         z = lam * t + np.sqrt(2.0 * t) * norm_ppf(u)
-        r = -np.expm1(-2.0 * lam * (z - y)) * z * np.exp(-((z - lam * t) ** 2) / (4.0 * t))
-        acc = rng.random(idx.size) * env < r
+        acc = rng.random(idx.size) * env < _ratio(z, lam, t, y)
         out[idx[acc]] = z[acc]
         idx = idx[~acc]
     if idx.size:
@@ -378,6 +409,8 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
     exponential for a | s).  Atoms force side = plus.
     """
     _check_triple_domain(y, t)
+    if n < 0:
+        raise ParameterError("n must be >= 0")
     rng = as_generator(seed)
     lam = p.lam
     m_atom = atom_mass(p, y, t)

@@ -371,6 +371,60 @@ def test_sampler_joint_chi2():
     assert pval > 0.001
 
 
+def _envelope_reference(lam, t, y):
+    """The envelope as a scan of every point of the 40,001-point grid."""
+    hi = y + lam * t + 14.0 * np.sqrt(t) + 10.0
+    grid = np.linspace(max(y, 1e-12), hi, 40_001)
+    ratio = -np.expm1(-2.0 * lam * (grid - y)) * grid * np.exp(-((grid - lam * t) ** 2) / (4.0 * t))
+    return ratio.max() * (1.0 + 1e-6)
+
+
+def _envelope_cases():
+    rng = np.random.default_rng(20240601)
+    n = 3000
+    lam = np.exp(rng.uniform(np.log(1e-3), np.log(50.0), n))
+    t = np.exp(rng.uniform(np.log(1e-5), np.log(100.0), n))
+    y = np.where(rng.random(n) < 0.2, 0.0, np.exp(rng.uniform(np.log(1e-6), np.log(30.0), n)))
+    yield from zip(lam.tolist(), t.tolist(), y.tolist())
+    for lam_ in (1e-3, 0.2, 5.0, 50.0):
+        for y_ in (0.0, 1e-6, 0.3, 4.0, 30.0):
+            yield lam_, 1e-5, y_  # tiny t: f underflows to 0 away from its peak
+        for t_ in (3.0, 100.0):
+            yield lam_, t_, 0.0
+            yield lam_, t_, 1e-3 * lam_ * t_  # lam t >> y
+
+
+def test_windowed_envelope_equals_full_grid_maximum():
+    cases = list(_envelope_cases())
+    assert len(cases) >= 3000
+    for lam, t, y in cases:
+        assert bangbang._envelope(lam, t, y) == _envelope_reference(lam, t, y), (lam, t, y)
+
+
+@pytest.mark.parametrize("y,t", [(0.3, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+def test_triple_laws_reject_non_finite_start_or_time(y, t):
+    p = params(1.0)
+    for call in (lambda: bangbang.sample_triples(p, y, t, 10, SeedSpec(1)),
+                 lambda: bangbang.atom_mass(p, y, t)):
+        with pytest.raises(ParameterError):
+            call()
+    if math.isfinite(y):
+        with pytest.raises(ParameterError):
+            planar.exact_sample_terminal(p, InitialState(y, 0.0), t, 10, SeedSpec(1))
+
+
+def test_samplers_reject_negative_sizes_and_accept_zero():
+    p = params(1.0)
+    with pytest.raises(ParameterError):
+        bangbang.sample_triples(p, 0.3, 1.0, -1, SeedSpec(1))
+    with pytest.raises(ParameterError):
+        planar.exact_sample_terminal(p, InitialState(0.3, 0.0), 1.0, -1, SeedSpec(1))
+    batch = bangbang.sample_triples(p, 0.3, 1.0, 0, SeedSpec(1))
+    assert len(batch) == 0 and batch.sides.shape == batch.b.shape == batch.atom.shape == (0,)
+    draws = planar.exact_sample_terminal(p, InitialState(-0.3, 0.0), 1.0, 0, SeedSpec(1))
+    assert draws.x1.shape == draws.x2.shape == (0,)
+
+
 def test_single_draw_wrapper():
     p = params(1.0)
     d = bangbang.sample_triple(p, 0.4, 1.0, SeedSpec(57))
@@ -451,6 +505,34 @@ GOLDEN = {
 @pytest.mark.parametrize("kernel", sorted(GOLDEN))
 def test_gap_kernels_and_density_match_golden_digest(kernel):
     assert _sha256(_golden_arrays(kernel)) == GOLDEN[kernel]
+
+
+def _sampler_arrays(kernel):
+    """Exact draws over a far-tail grid of (lam, t, y), 64 per case."""
+    i = 0
+    for lam in (0.2, 5.0, 50.0):
+        for t in (1e-4, 0.1, 3.0, 100.0):
+            for y in (0.0, 0.3, 4.0):
+                seed = SeedSpec(20240601, i)
+                i += 1
+                if kernel == "triples":
+                    batch = bangbang.sample_triples(params(lam), y, t, 64, seed)
+                    yield from (batch.sides, batch.a, batch.b, batch.atom.astype(float))
+                else:
+                    d = planar.exact_sample_terminal(params(lam, 0.8, 0.6), InitialState(y, 0.0), t, 64, seed)
+                    yield from (d.x1, d.x2)
+
+
+# sha256 of the draws, recorded before the envelope search was windowed
+SAMPLER_GOLDEN = {
+    "triples": "8934ef399dc1d38edb12b32cb6dea87fd5918571621bd5f6d6221426b0066bd2",
+    "terminal": "8f471091d5c860fdc5f0ee34ad48a73c698cc4de4aac6b49431650d1032bd74e",
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(SAMPLER_GOLDEN))
+def test_exact_samplers_match_golden_digest(kernel):
+    assert _sha256(_sampler_arrays(kernel)) == SAMPLER_GOLDEN[kernel]
 
 
 def test_density_scalar_and_array_conventions():
