@@ -16,12 +16,11 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, ParameterError, as_generator, scalar_or_array
+from .core import ModelParams, ParameterError, as_generator, check_time_start, scalar_or_array
 from .tails import gauss_tail, log_norm_sf, norm_cdf, norm_ppf
 
 
@@ -58,8 +57,7 @@ def transition_density(p: ModelParams, t: float, y, xi):
     far side of the origin; a start y < 0 is its mirror image (-y, -xi),
     elementwise.
     """
-    if not t > 0:
-        raise ParameterError("transition_density requires t > 0")
+    check_time_start(t, y)
     lam, t = p.lam, float(t)
     y_arr, xi_arr = np.asarray(y, dtype=float), np.asarray(xi, dtype=float)
     flip = np.where(y_arr < 0, -1.0, 1.0)  # multiplying by +-1 is exact
@@ -84,6 +82,7 @@ def transition_cdf_table(p: ModelParams, t: float, y: float, n: int = 8001, widt
     Used for KS tests against the closed form and for inverse-CDF sampling of
     the exact time-t marginal.
     """
+    check_time_start(t, y)
     lo = -(abs(y) + p.lam * t + width * np.sqrt(t) + 2.0)
     hi = -lo
     grid = np.linspace(lo, hi, n)
@@ -94,6 +93,8 @@ def transition_cdf_table(p: ModelParams, t: float, y: float, n: int = 8001, widt
 
 def sample_terminal_exact(p: ModelParams, t: float, y: float, n: int, rng) -> np.ndarray:
     """Exact draws of Y(t) by inverse CDF of the closed-form density."""
+    if n < 0:
+        raise ParameterError("n must be >= 0")
     rng = as_generator(rng)
     grid, cdf = transition_cdf_table(p, t, y)
     u = rng.random(n) * cdf[-1]
@@ -111,8 +112,7 @@ def euler_gap_path(lam: float, y0: float, T: float, n_steps: int, seed=None, *, 
     the zero array gives the deterministic drift skeleton.  lam = 0 gives a
     plain Brownian path, used as a calibration case by the local-time tests.
     """
-    if not T > 0 or n_steps < 1:
-        raise ParameterError("require T > 0 and n_steps >= 1")
+    _check_batch(y0, T, n_steps, 1)
     dt = T / n_steps
     if increments is None:
         rng = as_generator(seed)
@@ -134,9 +134,10 @@ def simulate_y(p: ModelParams, y0: float, T: float, n_steps: int, seed=None, *, 
     return euler_gap_path(p.lam, y0, T, n_steps, seed, increments=increments)
 
 
-def _check_batch(T, n_steps, n_paths):
-    if not T > 0 or n_steps < 1 or n_paths < 1:
-        raise ParameterError("require T > 0, n_steps >= 1 and n_paths >= 1")
+def _check_batch(y0, T, n_steps, n_paths):
+    check_time_start(T, y0)
+    if n_steps < 1 or n_paths < 1:
+        raise ParameterError("require n_steps >= 1 and n_paths >= 1")
 
 
 def gap_euler_step(y: np.ndarray, lam: float, dt: float, rng) -> None:
@@ -147,7 +148,7 @@ def gap_euler_step(y: np.ndarray, lam: float, dt: float, rng) -> None:
 
 def euler_gap_terminal(lam: float, y0, T: float, n_steps: int, n_paths: int, rng) -> np.ndarray:
     """Terminal values Y(T) of n_paths Euler paths (nothing else stored)."""
-    _check_batch(T, n_steps, n_paths)
+    _check_batch(y0, T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
     y = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths,)).copy()
@@ -162,7 +163,7 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
     Returns (times, Y, dW) with Y of shape (n_steps + 1, n_paths) and dW of
     shape (n_steps, n_paths); memory-heavy, intended for estimator studies.
     """
-    _check_batch(T, n_steps, n_paths)
+    _check_batch(y0, T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
     sq = np.sqrt(dt)
@@ -248,12 +249,9 @@ class TripleDraw:
 
 
 def _check_triple_domain(y, t):
-    if not (math.isfinite(y) and math.isfinite(t)):
-        raise ParameterError("y and t must be finite")
+    check_time_start(t, y)
     if y < 0:
         raise ParameterError("joint gap/local-time laws require y >= 0 (mirror y < 0 upstream)")
-    if not t > 0:
-        raise ParameterError("require t > 0")
 
 
 def triple_density(p: ModelParams, y: float, t: float, a, b):

@@ -33,6 +33,16 @@ def sign(x):
     return scalar_or_array(np.where(arr > 0.0, 1.0, -1.0), x)
 
 
+def check_time_start(t, *starts) -> None:
+    """Entry check of every time-t law and path kernel: a finite time (or
+    horizon) t > 0 and finite starts, each a scalar or an array."""
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError("require a finite t > 0")
+    for y in starts:  # math.isfinite on floats: np.isfinite costs microseconds per scalar
+        if not (math.isfinite(y) if isinstance(y, (int, float)) else np.all(np.isfinite(y))):
+            raise ParameterError("the start must be finite")
+
+
 def scalar_or_array(out, *args):
     """The package's return rule: a Python float when every array argument
     in args is 0-d, else out, the ndarray."""

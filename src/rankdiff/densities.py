@@ -15,15 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bangbang import atom_density, atom_mass, transition_density
-from .core import InitialState, ModelParams, ParameterError, scalar_or_array
+from .core import InitialState, ModelParams, ParameterError, check_time_start, scalar_or_array
 from .tails import norm_sf
 
 ISO_TOL = 1e-12
-
-
-def _require_time(t):
-    if not t > 0:
-        raise ParameterError("require t > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +32,7 @@ def joint_density_isotropic(p: ModelParams, s0: InitialState, t: float, xi1, xi2
     the change of variables contributes the constant 2/sqrt(2 pi t), pinned
     here by the normalization and Monte Carlo checks in the test suite.
     """
-    _require_time(t)
+    check_time_start(t)
     if not p.is_isotropic:
         raise ParameterError("joint_density_isotropic requires rho^2 = sigma^2 = 1/2")
     xi1 = np.asarray(xi1, dtype=float)
@@ -70,7 +65,7 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     plus an atom on the line {xi2 = front, xi1 > front} (see atom_line_density).
     On the wedge edges the interior one-sided limit is returned.
     """
-    _require_time(t)
+    check_time_start(t)
     _check_degenerate(p, s0)
     args = xi1, xi2
     xi1, xi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(xi1, dtype=float)),
@@ -102,7 +97,7 @@ def atom_line_density(p: ModelParams, s0: InitialState, t: float, xi1):
 
     Identically zero when y = 0; zero for xi1 at or below the front.
     """
-    _require_time(t)
+    check_time_start(t)
     _check_degenerate(p, s0)
     out = _atom_vals(p, s0.y, t, np.asarray(xi1, dtype=float) - front_location(p, s0, t))
     return scalar_or_array(out, xi1)
@@ -125,7 +120,7 @@ def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
 
 def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rho2):
     """Continuous joint density of the ranks (max, min), degenerate case."""
-    _require_time(t)
+    check_time_start(t)
     _check_degenerate(p, s0)
     rho1 = np.asarray(rho1, dtype=float)
     rho2 = np.asarray(rho2, dtype=float)
@@ -161,8 +156,9 @@ def quadrivariate_density(p: ModelParams, y: float, t: float, side: str, a, b, t
     """
     if side not in ("plus", "minus"):
         raise ParameterError("side must be 'plus' or 'minus'")
-    if y < 0 or not t > 0:
-        raise ParameterError("require y >= 0 and t > 0")
+    check_time_start(t, y)
+    if y < 0:
+        raise ParameterError("require y >= 0")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -180,8 +176,9 @@ def quadrivariate_density(p: ModelParams, y: float, t: float, side: str, a, b, t
 
 def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
     """f2(a, theta): the no-local-time companion of f1; vanishes at y = 0."""
-    if y < 0 or not t > 0:
-        raise ParameterError("require y >= 0 and t > 0")
+    check_time_start(t, y)
+    if y < 0:
+        raise ParameterError("require y >= 0")
     a = np.asarray(a, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(a <= 0):
@@ -231,7 +228,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     no-local-time component is smoothed by the independent noise and enters
     as an explicit extra term on the upper wedge.
     """
-    _require_time(t)
+    check_time_start(t, y)
     if p.gamma <= 0 or p.rho <= 0 or p.sigma <= 0:
         raise ParameterError("psi_density requires rho > sigma > 0 (gamma > 0); reduce by symmetry first")
     if y < 0:
@@ -318,7 +315,7 @@ def planar_atom(p: ModelParams, s0: InitialState, t: float) -> Optional[AtomLine
     no-overtake event.  Built for sigma = 0 and x1 > x2, where x2 rides its
     front; the other cases follow by relabeling and by flipping space.
     """
-    _require_time(t)
+    check_time_start(t)
     if not p.is_degenerate or s0.y == 0:
         return None
     if p.sigma != 0.0:  # rho = 0: flip space; location, side and free coordinate change sign

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtrc
 
 from .core import ParameterError, SeedSpec, scalar_or_array
 
@@ -242,7 +242,13 @@ def chi2_against_density(x1: np.ndarray, x2: np.ndarray,
     exp = expected.ravel()[keep]
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = int(keep.sum() - 1)
-    return stat, float(_chi2_dist.sf(stat, dof)), dof
+    return stat, chi2_sf(stat, dof), dof
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square upper tail P(chi2_dof > stat); NaN for dof < 1, where
+    chdtrc would give 0 or 1 for a law that does not exist."""
+    return float(chdtrc(dof, stat)) if dof >= 1 else math.nan
 
 
 def binomial_z(count: int, n: int, prob: float) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .bangbang import (YPath, TripleBatch, sample_triples, skorokhod_local_time_series,
                        tanaka_residual_series)
 from .classifier import SYSTEMS, SqrtConfig, unit_blocks, volatilities
-from .core import InitialState, ModelParams, ParameterError, as_generator
+from .core import InitialState, ModelParams, ParameterError, as_generator, check_time_start
 
 SystemKind = Union[str, SqrtConfig]  # "B" | "W" | "V" | square-root config
 
@@ -206,8 +206,9 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
     sign(0) = -1, so the diagonal belongs to the down state.  `increments`
     (shape (n_steps, 2)) overrides the raw driving noise.
     """
-    if not T > 0 or n_steps < 1:
-        raise ParameterError("require T > 0 and n_steps >= 1")
+    check_time_start(T)
+    if n_steps < 1:
+        raise ParameterError("require n_steps >= 1")
     dt = T / n_steps
     drift, coef, src = _step_table(kind, p, dt)
     if increments is None:
@@ -242,8 +243,9 @@ def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: 
                          n_steps: int, n_paths: int, seed=None):
     """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized; for B, W
     and V with n_paths = 1, the end of the path euler_simulate draws from the same seed."""
-    if not t > 0 or n_steps < 1 or n_paths < 1:
-        raise ParameterError("require t > 0, n_steps >= 1 and n_paths >= 1")
+    check_time_start(t)
+    if n_steps < 1 or n_paths < 1:
+        raise ParameterError("require n_steps >= 1 and n_paths >= 1")
     rng = as_generator(seed)
     dt = t / n_steps
     sq = np.sqrt(dt)

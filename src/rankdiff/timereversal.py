@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bangbang import tanaka_residual_series
-from .core import ModelParams, ParameterError, as_generator, scalar_or_array
+from .core import ModelParams, ParameterError, as_generator, check_time_start, scalar_or_array
 from .planar import PlanarPath, noise_bundle, ranks
 from .tails import log_gauss_tail, norm_sf
 
@@ -27,8 +27,7 @@ _CLOSED_FORM_CHECK_TOL = 1e-8
 def _origin_ratio(p: ModelParams, tau: float, xi):
     """(xi, num / den) of the two y0 = 0 displays, in a = |xi|: the plain
     form, and the same ratio in log space where both of its terms underflow."""
-    if not tau > 0:
-        raise ParameterError("require tau > 0")
+    check_time_start(tau)
     lam, xi = p.lam, np.asarray(xi, dtype=float)
     a = np.atleast_1d(np.abs(xi))
 
@@ -77,8 +76,7 @@ def q_function(p: ModelParams, y0: float, tau: float, xi, *, check_closed_form: 
     alongside and agreement is asserted wherever its plain evaluation is
     well-scaled.
     """
-    if not tau > 0:
-        raise ParameterError("q_function requires tau > 0")
+    check_time_start(tau, y0)
     lam, tau = p.lam, float(tau)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     flip = -1.0 if y0 < 0 else 1.0
@@ -126,8 +124,7 @@ class BackwardDriftSpec:
     mode: str = "transient"
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ParameterError("require T > 0")
+        check_time_start(self.T, self.y0)
         if self.mode not in ("transient", "steady_state"):
             raise ParameterError("mode must be 'transient' or 'steady_state'")
 

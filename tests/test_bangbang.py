@@ -446,6 +446,54 @@ def test_gap_batch_kernels_reject_bad_sizes(kernel, T, n_steps, n_paths):
         getattr(bangbang, kernel)(1.0, 0.0, T, n_steps, n_paths, SeedSpec(1).generator())
 
 
+@pytest.mark.parametrize("kernel", ["euler_gap_path", "simulate_y", "euler_gap_terminal",
+                                    "euler_gap_paths_batch"])
+@pytest.mark.parametrize("T,y0", [(math.inf, 0.3), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_gap_kernels_reject_non_finite_horizon_or_start(kernel, T, y0):
+    with pytest.raises(ParameterError):
+        if kernel == "euler_gap_path":
+            bangbang.euler_gap_path(1.0, y0, T, 10, SeedSpec(1))
+        elif kernel == "simulate_y":
+            bangbang.simulate_y(params(1.0), y0, T, 10, SeedSpec(1))
+        else:
+            getattr(bangbang, kernel)(1.0, y0, T, 10, 5, SeedSpec(1).generator())
+
+
+@pytest.mark.parametrize("kernel", ["euler_gap_terminal", "euler_gap_paths_batch"])
+def test_gap_batch_kernels_reject_a_non_finite_start_among_many(kernel):
+    with pytest.raises(ParameterError):
+        getattr(bangbang, kernel)(1.0, np.array([0.1, math.nan, 0.2]), 1.0, 10, 3, SeedSpec(1).generator())
+
+
+# ---------------------------------------------------------------------------
+# input checks of the transition density and the inverse-CDF Y(t) sampler
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t,y", [(math.inf, 0.3), (math.nan, 0.3), (-1.0, 0.3), (1.0, math.nan),
+                                 (1.0, -math.inf), (1.0, np.array([0.2, math.nan]))])
+def test_transition_density_rejects_non_finite_time_or_start(t, y):
+    with pytest.raises(ParameterError):
+        bangbang.transition_density(params(1.0), t, y, 0.5)
+
+
+@pytest.mark.parametrize("t,y", [(-1.0, 0.3), (0.0, 0.3), (math.inf, 0.3), (math.nan, 0.3),
+                                 (1.0, math.nan), (1.0, math.inf)])
+def test_terminal_sampler_rejects_bad_time_or_start(t, y):
+    p = params(1.0)
+    with pytest.raises(ParameterError):
+        bangbang.transition_cdf_table(p, t, y)
+    with pytest.raises(ParameterError):
+        bangbang.sample_terminal_exact(p, t, y, 10, SeedSpec(1))
+
+
+def test_terminal_sampler_rejects_negative_size_and_accepts_zero():
+    p = params(1.0)
+    with pytest.raises(ParameterError):
+        bangbang.sample_terminal_exact(p, 1.0, 0.3, -1, SeedSpec(1))
+    out = bangbang.sample_terminal_exact(p, 1.0, 0.3, 0, SeedSpec(1))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # golden digests of the gap kernels and the transition density
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +195,13 @@ def test_public_names_pinned():
         "tanaka_residual_local_time", "timereversal", "transition_density", "triple_density",
         "validate_params", "validation",
     ]
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    # scipy.stats alone was more than half of the package's import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, rankdiff.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -326,6 +326,27 @@ def test_psi_density_isotropic_limit():
 P_ISO_SAME_RATES = validate_params(1.0, 0.5, 1 / math.sqrt(2), 1 / math.sqrt(2), renormalize=True)
 
 
+@pytest.mark.parametrize("p", [P_DEG, P_ISO, P_GEN, validate_params(1.0, 0.5, 0.6, 0.8)])
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_planar_laws_reject_non_finite_time(p, t):
+    s0 = InitialState(0.3, -0.2)
+    for law in (lambda: densities.planar_density(p, s0, t, 0.1, 0.2),
+                lambda: densities.planar_atom(p, s0, t),
+                lambda: densities.density_grid(p, s0, t, np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))):
+        with pytest.raises(ParameterError):
+            law()
+
+
+@pytest.mark.parametrize("y,t", [(0.3, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+def test_gap_coordinate_laws_reject_non_finite_time_or_start(y, t):
+    with pytest.raises(ParameterError):
+        densities.psi_density(P_GEN, y, t, 0.1, 0.2)
+    with pytest.raises(ParameterError):
+        densities.quadrivariate_density(P_GEN, y, t, "plus", 0.5, 0.5, 0.1)
+    with pytest.raises(ParameterError):
+        densities.quadrivariate_atom_density(P_GEN, y, t, 0.5, 0.1)
+
+
 def test_psi_density_rejects_wrong_branch():
     with pytest.raises(ParameterError):
         densities.psi_density(validate_params(1.0, 0.5, 0.6, 0.8), 0.2, 1.0, 0.1, 0.2)

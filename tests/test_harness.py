@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from rankdiff.core import ParameterError, SeedSpec
 from rankdiff.harness import (CSV_BLOCK_ROWS, ExperimentConfig, GofReport,
-                              PiecewiseBV, binomial_z, chi2_against_density,
+                              PiecewiseBV, binomial_z, chi2_against_density, chi2_sf,
                               expected_cell_masses, ks_statistic, ks_two_sample,
                               pmap_batches, tanaka_coalescence_experiment,
                               write_csv)
@@ -116,9 +116,19 @@ def test_chi2_against_density_calibrated():
         x, y, lambda a, b: norm.pdf(a) * norm.pdf(b), n_bins=15)
     assert pval > 0.001
     # corrupt: shift the sample; the test must reject decisively
-    stat2, pval2, _ = chi2_against_density(
+    stat2, pval2, dof2 = chi2_against_density(
         x + 0.08, y, lambda a, b: norm.pdf(a) * norm.pdf(b), n_bins=15)
     assert pval2 < 1e-6
+    for st, pv, df in ((stat, pval, dof), (stat2, pval2, dof2)):
+        assert pv == float(chi2.sf(st, df))
+
+
+@pytest.mark.parametrize("dof", [-1, 0, 1, 2, 7, 500])
+def test_chi2_sf_bit_equal_to_scipy_stats(dof):
+    for stat in (0.0, 1e-300, 0.5, 3.0, 1e3, 1e300, math.inf, math.nan):
+        got, ref = chi2_sf(stat, dof), float(chi2.sf(stat, dof))
+        assert type(got) is float
+        assert got == ref or (math.isnan(got) and math.isnan(ref)), (stat, dof, got, ref)
 
 
 def test_binomial_z():

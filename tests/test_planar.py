@@ -111,6 +111,15 @@ def test_intertwinement_round_trip():
         np.testing.assert_allclose(b.increments("Q"), s * b.increments("Uflat"), atol=1e-14)
 
 
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+def test_euler_kernels_reject_non_finite_or_non_positive_horizon(T):
+    s0 = InitialState(0.3, -0.2)
+    with pytest.raises(ParameterError):
+        planar.euler_simulate("B", P_GEN, s0, T, 10, SeedSpec(1))
+    with pytest.raises(ParameterError):
+        planar.euler_terminal_batch("B", P_GEN, s0, T, 10, 4, SeedSpec(1))
+
+
 def test_noise_readers_reject_skew_paths():
     s0 = InitialState(0.3, 0.0)
     path = planar.skew_construct(P_GEN, s0, *_skew_inputs(P_GEN, s0))

@@ -127,6 +127,24 @@ def test_q_requires_positive_tau():
         timereversal.q_function(P2, 0.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("y0,tau", [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (0.0, math.inf), (0.3, math.inf), (0.3, math.nan)])
+def test_q_rejects_non_finite_start_or_tau(y0, tau):
+    with pytest.raises(ParameterError):
+        timereversal.q_function(P2, y0, tau, np.array([-0.5, 0.5]))
+    with pytest.raises(ParameterError):
+        timereversal.backward_drift(P2, y0, tau, 0.5)
+    with pytest.raises(ParameterError):
+        timereversal.BackwardDriftSpec(P2, y0, tau)
+
+
+@pytest.mark.parametrize("law", [timereversal.q_closed_form_origin,
+                                 timereversal.backward_drift_display_origin])
+def test_origin_displays_reject_infinite_tau(law):
+    with pytest.raises(ParameterError):
+        law(P2, math.inf, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # backward simulation
 # ---------------------------------------------------------------------------
