@@ -2,7 +2,7 @@
 
 Provides Euler path simulation, the closed-form transition density, two local
 time estimators, the exact joint law of (sign of Y(t), |Y(t)|, twice the local
-time), and an exact sampler for that law.
+time), and an exact sampler for that law, which also draws Y(t) itself.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -76,29 +76,12 @@ def invariant_density(p: ModelParams, xi):
     return scalar_or_array(p.lam * np.exp(-2.0 * p.lam * np.abs(xi)), xi)
 
 
-def transition_cdf_table(p: ModelParams, t: float, y: float, n: int = 8001, width: float = 10.0):
-    """Tabulated CDF of Y(t): (grid, cdf), cdf strictly increasing to ~1.
-
-    Used for KS tests against the closed form and for inverse-CDF sampling of
-    the exact time-t marginal.
-    """
-    check_time_start(t, y)
-    lo = -(abs(y) + p.lam * t + width * np.sqrt(t) + 2.0)
-    hi = -lo
-    grid = np.linspace(lo, hi, n)
-    pdf = transition_density(p, t, y, grid)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
-    return grid, cdf
-
-
 def sample_terminal_exact(p: ModelParams, t: float, y: float, n: int, rng) -> np.ndarray:
-    """Exact draws of Y(t) by inverse CDF of the closed-form density."""
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    rng = as_generator(rng)
-    grid, cdf = transition_cdf_table(p, t, y)
-    u = rng.random(n) * cdf[-1]
-    return np.interp(u, cdf, grid)
+    """n exact draws of Y(t), for Y(0) = y: side * a from the triple law, with
+    a start y < 0 drawn as the mirror image of the start -y."""
+    flip = -1.0 if y < 0 else 1.0
+    trip = sample_triples(p, flip * y, t, n, rng)
+    return flip * trip.sides * trip.a
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
 from .core import InitialState, ParameterError, SeedSpec, validate_params
-from .harness import (ExperimentConfig, PiecewiseBV, ks_two_sample, reports_to_rows,
+from .harness import (ExperimentConfig, PiecewiseBV, reports_to_rows,
                       tanaka_coalescence_experiment, write_csv)
 from .svgplot import emit_svg_heatmap
 from .validation import run_validation_suite
@@ -267,38 +267,16 @@ def cmd_reverse(args) -> int:
     T = cfg.horizon
     taus = [T * k for k in (0.125, 0.25, 0.5, 0.75, 1.0)]
     xis = np.linspace(-3.0, 3.0, 61)
-    rows = []
-    for tau in taus:
-        q = (np.full_like(xis, np.nan) if mode == "steady_state"
-             else timereversal.q_function(p, args.y0, tau, xis))
-        b = timereversal.backward_drift(p, args.y0, tau, xis, mode=mode)
-        for xi_v, q_v, b_v in zip(xis, np.atleast_1d(q), np.atleast_1d(b)):
-            rows.append([tau, xi_v, q_v, b_v])
+    q = [np.full_like(xis, np.nan) if mode == "steady_state"
+         else timereversal.q_function(p, args.y0, tau, xis) for tau in taus]
+    b = [timereversal.backward_drift(p, args.y0, tau, xis, mode=mode) for tau in taus]
+    rows = np.column_stack([np.repeat(taus, len(xis)), np.tile(xis, len(taus)),
+                            np.concatenate(q), np.concatenate(b)])
     table = _emit_table(cfg, "backward_drift", ["tau", "xi", "q", "b_hat"], rows,
                         {"mode": mode, "y0": args.y0, "lam": p.lam, "T": T})
-
-    # path comparison: the forward law after k = steps // 2 steps against the
-    # reversed simulation at the same grid time k*T/steps (T/2 for even steps)
-    seed = SeedSpec(cfg.seed)
     n = max(cfg.paths, 1000)
-    rng = seed.stream(0).generator()
-    if mode == "steady_state":
-        y_fwd0 = rng.laplace(0.0, 1.0 / (2 * p.lam), n)
-    else:
-        y_fwd0 = np.full(n, args.y0)
-    y = y_fwd0.copy()
-    k = cfg.steps // 2
-    for _ in range(k):
-        bangbang.gap_euler_step(y, p.lam, T / cfg.steps, rng)
-    t_check = T / 2 if cfg.steps % 2 == 0 else k * T / cfg.steps
-    if mode == "steady_state":
-        y_term = seed.stream(1).generator().laplace(0.0, 1.0 / (2 * p.lam), n)
-    else:
-        y_term = bangbang.sample_terminal_exact(p, T, args.y0, n, seed.stream(1))
     spec = timereversal.BackwardDriftSpec(p, args.y0, T, mode=mode)
-    _, rec = timereversal.simulate_backward(spec, y_term, cfg.steps, seed.stream(2),
-                                            record_times=[(cfg.steps - k) * T / cfg.steps])
-    ks = ks_two_sample(y, rec[-1])
+    t_check, ks = timereversal.reversal_ks(spec, cfg.steps, n, SeedSpec(cfg.seed))
     report = _emit_table(cfg, "reverse_report",
                          ["mode", "t_check", "ks", "n_paths", "steps"],
                          [[mode, t_check, ks, n, cfg.steps]],

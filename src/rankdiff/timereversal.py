@@ -1,5 +1,6 @@
 """Time reversal of the gap diffusion: score function, backward drift,
-backward simulation, and the steady-state backward rank dynamics check.
+backward simulation, its comparison with the forward law, and the
+steady-state backward rank dynamics check.
 
 The reversed process solves dYhat = bhat(T - s, Yhat) ds + dW# with
 bhat(tau, xi) = lam*sign(xi) + d/dxi log p_tau(y0, xi).  The score q is the
@@ -15,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bangbang import tanaka_residual_series
-from .core import ModelParams, ParameterError, as_generator, check_time_start, scalar_or_array
+from .bangbang import gap_euler_step, sample_terminal_exact, tanaka_residual_series
+from .core import ModelParams, ParameterError, SeedSpec, as_generator, check_time_start, scalar_or_array
+from .harness import ks_two_sample
 from .planar import PlanarPath, noise_bundle, ranks
 from .tails import log_gauss_tail, norm_sf
 
@@ -26,7 +28,8 @@ _CLOSED_FORM_CHECK_TOL = 1e-8
 
 def _origin_ratio(p: ModelParams, tau: float, xi):
     """(xi, num / den) of the two y0 = 0 displays, in a = |xi|: the plain
-    form, and the same ratio in log space where both of its terms underflow."""
+    form, and the same ratio in log space where a term of den is subnormal or
+    zero (a subnormal term keeps few digits)."""
     check_time_start(tau)
     lam, xi = p.lam, np.asarray(xi, dtype=float)
     a = np.atleast_1d(np.abs(xi))
@@ -35,8 +38,9 @@ def _origin_ratio(p: ModelParams, tau: float, xi):
         return (2.0 * lam + a / tau) * phi + 2.0 * lam**2 * expo * tail, phi + lam * expo * tail
 
     phi = np.exp(-((a + lam * tau) ** 2) / (2.0 * tau)) / np.sqrt(2.0 * np.pi * tau)
-    num, den = terms(a, phi, np.exp(-2.0 * lam * a), norm_sf((a - lam * tau) / np.sqrt(tau)))
-    under = den == 0
+    expo, tail = np.exp(-2.0 * lam * a), norm_sf((a - lam * tau) / np.sqrt(tau))
+    num, den = terms(a, phi, expo, tail)
+    under = np.minimum(phi, lam * expo * tail) < np.finfo(float).tiny
     if np.any(under):  # both terms scaled by sqrt(2 pi tau), then by their maximum
         au = a[under]
         log_phi = -((au + lam * tau) ** 2) / (2.0 * tau)
@@ -145,6 +149,7 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
         raise ParameterError("simulate_backward requires n_steps >= 1")
     rng = as_generator(seed)
     y = np.array(yT_draws, dtype=float, copy=True)
+    check_time_start(spec.T, y)  # the terminal draws start the backward paths
     n_paths = y.shape[0]
     dt = spec.T / n_steps
     sq = np.sqrt(dt)
@@ -166,6 +171,36 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
         if (k + 1) in pos:
             out[pos[k + 1]] = y
     return rec_idx * dt, out
+
+
+def reversal_ks(spec: BackwardDriftSpec, n_steps: int, n_paths: int, seed: SeedSpec):
+    """(t_check, ks): KS distance between the forward gap law and the law of
+    the reversed simulation, both read at grid time t_check.
+
+    The forward paths take k = n_steps // 2 Euler steps of T / n_steps on
+    stream 0 of seed, from the invariant Laplace law in steady state and
+    from y0 otherwise.  The reversed paths start from time-T draws on stream
+    1 (the Laplace law again, or sample_terminal_exact), run on stream 2,
+    and are read n_steps - k steps back from T, so t_check = k T / n_steps
+    (T / 2 for even n_steps).
+    """
+    if n_steps < 1 or n_paths < 1:
+        raise ParameterError("reversal_ks requires n_steps >= 1 and n_paths >= 1")
+    p, T = spec.params, spec.T
+    steady = spec.mode == "steady_state"
+    rng = seed.stream(0).generator()
+    y = rng.laplace(0.0, 1.0 / (2 * p.lam), n_paths) if steady else np.full(n_paths, spec.y0)
+    k = n_steps // 2
+    for _ in range(k):
+        gap_euler_step(y, p.lam, T / n_steps, rng)
+    if steady:
+        y_term = seed.stream(1).generator().laplace(0.0, 1.0 / (2 * p.lam), n_paths)
+    else:
+        y_term = sample_terminal_exact(p, T, spec.y0, n_paths, seed.stream(1))
+    _, rec = simulate_backward(spec, y_term, n_steps, seed.stream(2),
+                               record_times=[(n_steps - k) * T / n_steps])
+    t_check = T / 2 if n_steps % 2 == 0 else k * T / n_steps
+    return t_check, ks_two_sample(y, rec[-1])
 
 
 # ---------------------------------------------------------------------------

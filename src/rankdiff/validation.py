@@ -1,10 +1,14 @@
 """The acceptance battery behind `rankdiff validate`.
 
 Each check function returns a list of GofReport rows; run_validation_suite
-composes them.  All Monte Carlo tolerances are sized at four-plus standard
-errors of their statistic, and every random quantity is keyed to the config
-seed through fixed sub-streams, so the battery is deterministic and its
-emitted tables are byte-identical across runs and worker counts.
+composes them.  Most Monte Carlo tolerances are sized at four-plus standard
+errors of their statistic.  Two rows are not: invariant-law/occupation-
+histogram carries the O(dt) bias of its Euler chain and reads about 0.014
++- 0.004 against its 0.02 tolerance, so it is red at some seeds; and
+local-time/reversal-halving is red by design (see check_local_time).  Every
+random quantity is keyed to the config seed through fixed sub-streams, so
+the battery is deterministic and its emitted tables are byte-identical
+across runs and worker counts.
 
 Normalization integrals are taken in coordinates aligned with each law's
 kink and jump lines (gap/sum rotation, per-wedge parametrization), so the
@@ -443,17 +447,9 @@ def check_time_reversal(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 5
     ref = -lam * np.where(grid > 0, 1.0, -1.0)
     reports.append(_report("sup", "reversal/steady-drift-exact", float(np.abs(steady - ref).max()), 0.0, 401))
 
-    rng_f = seed.stream(0).generator()
-    y = rng_f.laplace(0.0, 1.0 / (2 * lam), n_paths)
-    T = 1.0
-    for _ in range(n_steps // 2):
-        bangbang.gap_euler_step(y, lam, T / n_steps, rng_f)
-    rng_b = seed.stream(1).generator()
-    y_term = rng_b.laplace(0.0, 1.0 / (2 * lam), n_paths)
-    spec = timereversal.BackwardDriftSpec(p, 0.0, T, mode="steady_state")
-    _, rec = timereversal.simulate_backward(spec, y_term, n_steps, seed.stream(2), record_times=[T / 2])
-    reports.append(_report("KS", "reversal/steady-state-paths",
-                           ks_two_sample(y, rec[-1]), 0.015, n_paths))
+    spec = timereversal.BackwardDriftSpec(p, 0.0, 1.0, mode="steady_state")
+    _, ks = timereversal.reversal_ks(spec, n_steps, n_paths, seed)
+    reports.append(_report("KS", "reversal/steady-state-paths", ks, 0.015, n_paths))
     return reports
 
 

@@ -8,10 +8,17 @@ from scipy.integrate import dblquad, quad
 
 from rankdiff import bangbang, planar
 from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
+from rankdiff.harness import ks_statistic, ks_two_sample, tabulate_pdf
 
 
 def params(lam, rho=1.0, sigma=0.0):
     return validate_params(lam / 2, lam / 2, rho, sigma)
+
+
+def cdf_table(p, t, y):
+    """Trapezoid CDF of Y(t) on 8,001 points over +-(|y| + lam t + 10 sqrt(t) + 2)."""
+    hi = abs(y) + p.lam * t + 10.0 * np.sqrt(t) + 2.0
+    return tabulate_pdf(lambda xi: bangbang.transition_density(p, t, y, xi), -hi, hi, 8001)
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +64,7 @@ def test_density_mirror_matches_monte_carlo_for_negative_start():
     rng = SeedSpec(5).generator()
     n = 60_000
     y = bangbang.euler_gap_terminal(p.lam, -1.0, 1.0, 2000, n, rng)
-    grid, cdf = bangbang.transition_cdf_table(p, 1.0, -1.0)
-    from rankdiff.harness import ks_statistic
+    grid, cdf = cdf_table(p, 1.0, -1.0)
     ks = ks_statistic(y, np.interp(y, grid, cdf / cdf[-1]))
     assert ks <= 0.015
 
@@ -106,8 +112,7 @@ def test_terminal_law_matches_closed_form():
     rng = SeedSpec(11).generator()
     n = 100_000
     y = bangbang.euler_gap_terminal(p.lam, 0.0, 1.0, 1000, n, rng)
-    grid, cdf = bangbang.transition_cdf_table(p, 1.0, 0.0)
-    from rankdiff.harness import ks_statistic
+    grid, cdf = cdf_table(p, 1.0, 0.0)
     ks = ks_statistic(y, np.interp(y, grid, cdf / cdf[-1]))
     assert ks <= 0.01
 
@@ -116,7 +121,6 @@ def test_exact_terminal_sampler_matches_euler():
     p = params(2.0)
     exact = bangbang.sample_terminal_exact(p, 1.0, 0.5, 50_000, SeedSpec(13))
     euler = bangbang.euler_gap_terminal(p.lam, 0.5, 1.0, 1000, 50_000, SeedSpec(14).generator())
-    from rankdiff.harness import ks_two_sample
     assert ks_two_sample(exact, euler) <= 0.015
 
 
@@ -192,7 +196,6 @@ def test_sampler_full_a_marginal_including_atom():
     y, t = 0.5, 1.0
     n = 150_000
     batch = bangbang.sample_triples(p, y, t, n, SeedSpec(59))
-    from rankdiff.harness import ks_statistic, tabulate_pdf
 
     def full_marginal(av):
         out = []
@@ -334,7 +337,6 @@ def test_sampler_marginals_match_density():
     n = 200_000
     batch = bangbang.sample_triples(p, y, t, n, SeedSpec(47))
     a, b = batch.a[~batch.atom], batch.b[~batch.atom]
-    from rankdiff.harness import ks_statistic, tabulate_pdf
 
     z_cont = 1.0 - bangbang.atom_mass(p, y, t)
 
@@ -479,11 +481,8 @@ def test_transition_density_rejects_non_finite_time_or_start(t, y):
 @pytest.mark.parametrize("t,y", [(-1.0, 0.3), (0.0, 0.3), (math.inf, 0.3), (math.nan, 0.3),
                                  (1.0, math.nan), (1.0, math.inf)])
 def test_terminal_sampler_rejects_bad_time_or_start(t, y):
-    p = params(1.0)
     with pytest.raises(ParameterError):
-        bangbang.transition_cdf_table(p, t, y)
-    with pytest.raises(ParameterError):
-        bangbang.sample_terminal_exact(p, t, y, 10, SeedSpec(1))
+        bangbang.sample_terminal_exact(params(1.0), t, y, 10, SeedSpec(1))
 
 
 def test_terminal_sampler_rejects_negative_size_and_accepts_zero():
@@ -492,6 +491,31 @@ def test_terminal_sampler_rejects_negative_size_and_accepts_zero():
         bangbang.sample_terminal_exact(p, 1.0, 0.3, -1, SeedSpec(1))
     out = bangbang.sample_terminal_exact(p, 1.0, 0.3, 0, SeedSpec(1))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("y", [0.0, -0.0, 0.3, 4.0, -0.3, -4.0])
+def test_terminal_sampler_is_the_mirrored_triple_marginal(y):
+    # Y(t) = side * a for y >= 0, and minus that of the start -y for y < 0,
+    # bit for bit (np.array_equal would let -0.0 pass for +0.0)
+    p = params(2.0)
+    out = bangbang.sample_terminal_exact(p, 0.7, y, 2000, SeedSpec(41))
+    trip = bangbang.sample_triples(p, -y if y < 0 else y, 0.7, 2000, SeedSpec(41))
+    expected = trip.sides * trip.a if not y < 0 else -(trip.sides * trip.a)
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("y,t", [(50.0, 1e-4), (0.0, 1e-6)])
+def test_terminal_sampler_far_tail_spread(y, t):
+    # sqrt(t) small next to |y| (or next to any fixed grid): the SD of the
+    # draws must be that of the closed-form law
+    p = params(2.0)
+    c, st = (y - p.lam * t if y > 0 else 0.0), math.sqrt(t)  # the law's centre and scale
+    m0, m1, m2 = (quad(lambda u, k=k: u**k * st * bangbang.transition_density(p, t, y, c + st * u),
+                       -14.0, 14.0, points=[-c / st] if abs(c) < 14.0 * st else None, limit=400)[0]
+                  for k in (0, 1, 2))
+    law_sd = st * math.sqrt(m2 / m0 - (m1 / m0) ** 2)
+    draws = bangbang.sample_terminal_exact(p, t, y, 20_000, SeedSpec(43))
+    assert abs(draws.std() / law_sd - 1.0) <= 0.03
 
 
 # ---------------------------------------------------------------------------

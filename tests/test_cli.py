@@ -238,7 +238,9 @@ EXPORT_CASES = {
 # sha256 of every file each invocation writes at seed 20240601, recorded with
 # the per-cell CSV writer, the per-cell SVG loop and the scalar Tanaka loop;
 # "classify" re-pinned when quarter-turn angles began to give exact 0/+-1
-# blocks (17 ip_sum_norm cells lost their trig residue; verdicts unchanged)
+# blocks (17 ip_sum_norm cells lost their trig residue; verdicts unchanged);
+# "reverse-even" reverse_report.csv re-pinned when the time-T draws came to be
+# taken from the triple law (ks 0.021 -> 0.020)
 EXPORT_GOLDEN = {
     "classify": {
         "classify.csv":
@@ -272,7 +274,7 @@ EXPORT_GOLDEN = {
         "backward_drift.csv":
             "e5a7bd82110e97b9eb73fb7ce0fb7b40d33fed0221caa6b6c6ea0de5edd016a8",
         "reverse_report.csv":
-            "424ec47d11d9aff7f09d7c4d58e35a8078cecd4ec60ea9438d559e03c6c6c4eb",
+            "3e14b8b599a6ad5f3d58d2dca12273b223ec315424b180a5326f36e6082cf94d",
     },
     "sample": {
         "terminal_draws.csv":

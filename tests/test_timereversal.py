@@ -100,6 +100,18 @@ def test_origin_closed_forms_finite_where_plain_terms_underflow():
     assert math.isfinite(timereversal.backward_drift_display_origin(P2, 0.1, -20.0))
 
 
+def test_origin_check_holds_where_a_plain_term_is_subnormal():
+    # at lam = 36.27, tau = 0.5365, xi = -10.24, exp(-2 lam a) = 2.5e-323 keeps
+    # about one digit; the plain ratio then disagreed with the score by 1.9e-3
+    q = timereversal.q_function(params(36.27), 0.0, 0.5365, -10.24)
+    assert abs(q / (2 * 36.27) - 1.0) <= 1e-6
+    for lam in np.geomspace(1e-3, 50.0, 40):
+        p = params(lam)
+        for tau in np.geomspace(1e-5, 100.0, 40):
+            hw = lam * tau + 20.0 * math.sqrt(tau)  # the window the check covers
+            assert np.all(np.isfinite(timereversal.q_function(p, 0.0, tau, np.linspace(-hw, hw, 401))))
+
+
 def test_origin_display_matches_generic_on_positive_side_only():
     xi = np.linspace(0.05, 5.0, 200)
     for tau in (0.5, 1.5):
@@ -199,6 +211,31 @@ def test_backward_rejects_bad_step_count(n_steps):
     spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="steady_state")
     with pytest.raises(ParameterError):
         timereversal.simulate_backward(spec, np.zeros(3), n_steps, SeedSpec(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_backward_rejects_non_finite_terminal_draws(bad):
+    spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="transient")
+    with pytest.raises(ParameterError):
+        timereversal.simulate_backward(spec, [0.1, bad], 10, SeedSpec(1))
+
+
+@pytest.mark.parametrize("mode", ["transient", "steady_state"])
+@pytest.mark.parametrize("n_steps", [1, 4, 7])
+def test_reversal_ks_reads_both_laws_at_one_grid_time(mode, n_steps):
+    spec = timereversal.BackwardDriftSpec(P2, 0.3, 0.7, mode=mode)
+    t_check, ks = timereversal.reversal_ks(spec, n_steps, 500, SeedSpec(37))
+    k = n_steps // 2
+    assert t_check == (0.35 if n_steps % 2 == 0 else k * 0.7 / n_steps)
+    assert 0.0 <= ks <= 1.0
+    assert timereversal.reversal_ks(spec, n_steps, 500, SeedSpec(37)) == (t_check, ks)
+
+
+@pytest.mark.parametrize("n_steps,n_paths", [(0, 100), (4, 0)])
+def test_reversal_ks_rejects_empty_runs(n_steps, n_paths):
+    spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0)
+    with pytest.raises(ParameterError):
+        timereversal.reversal_ks(spec, n_steps, n_paths, SeedSpec(1))
 
 
 def test_local_time_reversal_identity_within_coarse_band():
