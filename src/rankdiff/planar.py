@@ -218,22 +218,28 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, 2):
             raise ParameterError("increments must have shape (n_steps, 2)")
-    d1, d2 = drift.tolist()
-    if src is None:  # a 2x2 matmul rounds differently from two products and a sum
-        sig = tuple(coef)
-    else:
-        (c1, c2), (j1, j2) = coef.tolist(), src.tolist()
     x1, x2 = float(s0.x1), float(s0.x2)
     xs1, xs2 = [x1], [x2]
-    for k, dz in enumerate(increments.tolist()):
-        s = x1 > x2
-        if src is None:
+    if src is None:  # a 2x2 matmul rounds differently from two products and a sum
+        (d1, d2), sig = drift.tolist(), tuple(coef)
+        for k in range(n_steps):
+            s = x1 > x2
             n1, n2 = (sig[s] @ increments[k]).tolist()
-        else:
-            n1, n2 = c1[s] * dz[j1[s]], c2[s] * dz[j2[s]]
-        x1, x2 = x1 + d1[s] + n1, x2 + d2[s] + n2
-        xs1.append(x1)
-        xs2.append(x2)
+            x1, x2 = x1 + d1[s] + n1, x2 + d2[s] + n2
+            xs1.append(x1)
+            xs2.append(x2)
+    else:
+        # each coordinate's noise in each state at every step: the products a step adds
+        (n1_dn, n1_up), (n2_dn, n2_up) = (
+            [(coef[i, s] * increments[:, src[i, s]]).tolist() for s in (0, 1)] for i in (0, 1))
+        (d1_dn, d1_up), (d2_dn, d2_up) = drift.tolist()
+        for a_dn, a_up, b_dn, b_up in zip(n1_dn, n1_up, n2_dn, n2_up):
+            if x1 > x2:
+                x1, x2 = x1 + d1_up + a_up, x2 + d2_up + b_up
+            else:
+                x1, x2 = x1 + d1_dn + a_dn, x2 + d2_dn + b_dn
+            xs1.append(x1)
+            xs2.append(x2)
     times = np.linspace(0.0, T, n_steps + 1)
     tag = "custom" if isinstance(kind, SqrtConfig) else kind
     return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, _system(kind)[0])

@@ -143,7 +143,9 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     integrable bridge-type singularity that a raw Euler step can overshoot.
 
     Returns (times, values) where values[k] holds all paths at times[k];
-    record_times defaults to the full grid.
+    record_times defaults to the full grid.  The scheme stops at the last
+    recorded grid step: later steps would draw noise no row uses, so an
+    empty record_times runs no step.
     """
     if n_steps < 1:
         raise ParameterError("simulate_backward requires n_steps >= 1")
@@ -163,7 +165,7 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     if 0 in pos:
         out[pos[0]] = y
     p = spec.params
-    for k in range(n_steps):
+    for k in range(rec_idx.max(initial=0)):
         tau = spec.T - k * dt
         b = backward_drift(p, spec.y0, tau, y, mode=spec.mode)
         b = np.clip(b, -clamp, clamp)

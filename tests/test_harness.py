@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
-from rankdiff.core import ParameterError, SeedSpec
-from rankdiff.harness import (CSV_BLOCK_ROWS, ExperimentConfig, GofReport,
+from rankdiff import densities, planar
+from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
+from rankdiff.harness import (CSV_BLOCK_ROWS, ExperimentConfig, GofReport, _float_body,
                               PiecewiseBV, binomial_z, chi2_against_density, chi2_sf,
                               expected_cell_masses, ks_statistic, ks_two_sample,
                               pmap_batches, tanaka_coalescence_experiment,
@@ -169,6 +172,94 @@ def test_write_csv_float_table_matches_per_cell_path(tmp_path, n_rows):
     assert (tmp_path / "bulk.csv").read_text(encoding="utf-8") == bulk
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
     assert bulk.count("\n") == 2 + n_rows
+
+
+def percent_body(table):
+    """The body write_csv must produce: "%.17g" per cell, one % per cell."""
+    return "\n".join(",".join("%.17g" % v for v in row) for row in table.tolist())
+
+
+def assert_g17_exact(values, n_cols=1):
+    """The array path formats `values`, wrapped round to fill rows of n_cols,
+    as "%.17g" does; the number of cells the kernel certified."""
+    values = np.asarray(values, dtype=np.float64)
+    table = np.resize(values, -(-values.size // n_cols) * n_cols).reshape(-1, n_cols)
+    blocks, fast = _float_body(table)
+    assert "\n".join(blocks) == percent_body(table)
+    return fast
+
+
+def neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    both = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    return np.concatenate([both, -both])
+
+
+def test_g17_kernel_exact_on_random_bit_patterns():
+    bits = np.random.default_rng(20240601).integers(0, 2**64, 1_048_576, dtype=np.uint64)
+    assert_g17_exact(bits.view(np.float64), 4)
+
+
+def test_g17_kernel_exact_on_powers_of_two_and_ten():
+    assert_g17_exact(neighbours(np.ldexp(1.0, np.arange(-1074, 1024))), 2)
+    assert_g17_exact(neighbours([float(f"1e{k}") for k in range(-323, 309)]), 7)
+
+
+def test_g17_kernel_exact_on_zeros_infinities_and_nans():
+    nan = float("nan")
+    specials = [0.0, -0.0, math.inf, -math.inf, nan, math.copysign(nan, -1.0),
+                np.frombuffer(np.uint64(0xFFF8_0000_0000_0001).tobytes(), np.float64)[0],
+                5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    assert_g17_exact(specials * 3, 1)
+
+
+def test_g17_kernel_exact_around_integer_edges():
+    for centre in (2.0**53, 1e16, 1e17):
+        ints = centre + np.arange(-64, 65, dtype=np.float64)
+        assert_g17_exact(neighbours(ints), 2)
+
+
+def test_g17_kernel_exact_where_the_18th_digit_is_5():
+    rng = np.random.default_rng(5)
+    # exact ties: 16 integer digits and .25 / .75 have 18 significant digits
+    n = rng.integers(10**15, 2 * 10**15, 4000).astype(np.float64)
+    ties = np.concatenate([n + 0.25, n + 0.75])
+    digits = rng.integers(10**16, 10**17, 4000)
+    exps = rng.integers(-320, 290, 4000)
+    near = [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exps.tolist())]
+    assert_g17_exact(neighbours(np.concatenate([ties, near])), 7)
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 7])
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_g17_kernel_exact_over_block_shapes(n_rows, n_cols):
+    rng = np.random.default_rng(n_rows * 8 + n_cols)
+    table = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-8, 20, (n_rows, n_cols))
+    table.ravel()[::97] = 0.0
+    assert_g17_exact(table, n_cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 7), st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                             allow_subnormal=True), min_size=1, max_size=70))
+def test_g17_kernel_exact_property(n_cols, values):
+    assert_g17_exact(values, n_cols)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="no extended-precision long double")
+def test_g17_kernel_certifies_most_cells_of_path_and_density_tables():
+    p = validate_params(1.0, 0.5, 0.8, 0.6)
+    s0 = InitialState(0.4, 0.0)
+    path = planar.euler_simulate("B", p, s0, 1.0, 4000, SeedSpec(20240601).stream(0))
+    r1, r2 = planar.ranks(path)
+    paths = np.column_stack([path.times, path.x1_values, path.x2_values, r1, r2,
+                             path.y_values, path.local_time()])
+    xi = np.linspace(-3.0, 3.0, 121)
+    grid = densities.density_grid(p, s0, 1.0, xi, xi)
+    dens = np.column_stack([np.repeat(xi, xi.size), np.tile(xi, xi.size), grid.values.ravel()])
+    for table in (paths, dens):
+        _, fast = _float_body(table)
+        assert fast >= 0.95 * table.size
 
 
 # ---------------------------------------------------------------------------

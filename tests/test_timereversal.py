@@ -206,6 +206,22 @@ def test_backward_records_requested_times_and_is_clamped():
     assert np.all(np.isfinite(rec))
 
 
+@pytest.mark.parametrize("mode", ["transient", "steady_state"])
+@pytest.mark.parametrize("n_steps", [9, 10])
+def test_backward_stops_at_last_recorded_step_with_the_same_rows(mode, n_steps):
+    spec = timereversal.BackwardDriftSpec(P2, 0.3, 0.7, mode=mode)
+    y_term = np.linspace(-1.5, 1.5, 64)
+    times, full = timereversal.simulate_backward(spec, y_term, n_steps, SeedSpec(31))
+    for picks in ([0], [3], [1, 4], [n_steps // 2], [2, n_steps]):
+        t_rec, rec = timereversal.simulate_backward(spec, y_term, n_steps, SeedSpec(31),
+                                                    record_times=times[picks])
+        np.testing.assert_array_equal(t_rec, times[picks])
+        np.testing.assert_array_equal(rec, full[picks])
+    t_rec, rec = timereversal.simulate_backward(spec, y_term, n_steps, SeedSpec(31),
+                                                record_times=[])
+    assert t_rec.shape == (0,) and rec.shape == (0, y_term.size)
+
+
 @pytest.mark.parametrize("n_steps", [0, -2])
 def test_backward_rejects_bad_step_count(n_steps):
     spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="steady_state")
