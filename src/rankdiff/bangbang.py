@@ -16,6 +16,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,25 +303,77 @@ class TripleBatch:
 
 
 _MAX_REJECTION_ROUNDS = 10_000
-_ENVELOPE_STRIDE = 160  # 251 coarse points of the 40,001-point envelope grid
+_MAX_ROUND = 1 << 20  # proposals in one round, so that memory stays bounded
+_ENVELOPE_MARGIN = 1e-6
 
 
-def _ratio(s, lam: float, t: float, y: float):
-    """Target over proposal of _sample_s_marginal, up to a constant factor."""
-    return -np.expm1(-2.0 * lam * (s - y)) * s * np.exp(-((s - lam * t) ** 2) / (4.0 * t))
+def _envelope(lam: float, t: float, y: float):
+    """(d, log env): the peak s* = y + d of the ratio f of _sample_s_marginal,
+    and the log of env = f(s*) * (1 + 1e-6), a true bound on f.
+
+    f is strictly log-concave on s > y, so d is the one root of the convex,
+    decreasing slope of log f, 2 lam / expm1(2 lam d) + 1/s - (s - lam t)/(2t).
+    Newton steps find it, kept in a bracket by bisection (doubling while the
+    bracket is open).  They start at the root of the last two terms when it
+    lies above y (left of s*, from where they rise to it monotonically), and
+    else at the root d = 2 / (A + sqrt(A^2 + 2/t)) of 1/d - A - d/(2t),
+    A = (y - lam t)/(2t) - 1/y >= 0, which bounds the slope from above
+    (2 lam / expm1(2 lam d) <= 1/d and 1/s <= 1/y), so it lies right of the
+    root.  d is solved for directly, so s* - y keeps its digits, and log f(s*)
+    is taken term by term, so env does not underflow where f does.
+    """
+    lt, two_lam = lam * t, 2.0 * lam
+    s_gauss = 0.5 * (lt + math.sqrt(lt * lt + 8.0 * t))
+    if s_gauss > y:
+        d = s_gauss - y
+    else:
+        big_a = (y - lt) / (2.0 * t) - 1.0 / y
+        d = 2.0 / (big_a + math.sqrt(big_a * big_a + 2.0 / t))
+    lo, hi = 0.0, math.inf
+    for _ in range(200):
+        s, q = y + d, two_lam / math.expm1(min(two_lam * d, 700.0))
+        g = q + 1.0 / s - (s - lt) / (2.0 * t)
+        step = g / (q * (q + two_lam) + 1.0 / (s * s) + 0.5 / t)  # -g / (dg/dd)
+        if abs(step) <= 1e-12 * d:
+            break
+        lo, hi = (d, hi) if g > 0.0 else (lo, d)
+        d = d + step if lo < d + step < hi else (0.5 * (lo + hi) if hi < math.inf else 2.0 * d)
+    else:
+        raise RuntimeError(f"envelope search did not converge at lam={lam}, t={t}, y={y}")
+    s = y + d
+    log_f = math.log(-math.expm1(-two_lam * d)) + math.log(s) - (s - lt) ** 2 / (4.0 * t)
+    return d, log_f + math.log1p(_ENVELOPE_MARGIN)
 
 
-def _envelope(lam: float, t: float, y: float) -> float:
-    """The envelope constant of _sample_s_marginal (see there)."""
-    hi = y + lam * t + 14.0 * np.sqrt(t) + 10.0
-    grid = np.linspace(max(y, 1e-12), hi, 40_001)
-    coarse = grid[::_ENVELOPE_STRIDE]
-    with np.errstate(divide="ignore"):  # log f(y) = -inf at the left end when y > 0
-        log_f = (np.log(-np.expm1(-2.0 * lam * (coarse - y))) + np.log(coarse)
-                 - (coarse - lam * t) ** 2 / (4.0 * t))
-    k = int(np.argmax(log_f)) * _ENVELOPE_STRIDE
-    window = grid[max(k - 2 * _ENVELOPE_STRIDE, 0):k + 2 * _ENVELOPE_STRIDE + 1]
-    return _ratio(window, lam, t, y).max() * (1.0 + 1e-6)
+def _rejection(n: int, p: float, loc: float, scale: float, log_sf_lo: float, accept, rng) -> np.ndarray:
+    """n draws by rejection: proposals z ~ N(loc, scale^2) on (loc + scale x,
+    inf), log_sf_lo = log Phi_bar(x), each kept with probability accept(z).
+
+    z is drawn from the upper tail in log space (Robert, Stat. Comput. 1995),
+    so it does not quantise when Phi_bar(x) is small.  A round draws enough
+    proposals for what is left at the acceptance rate p, with three standard
+    deviations and 8 to spare (at most _MAX_ROUND), and keeps the first
+    acceptances in proposal order: the first n acceptances of iid proposals
+    are iid draws of the target.
+    """
+    out = np.empty(n)
+    done = 0
+    q = min(p, 1.0)
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        need = n - done
+        if need == 0:
+            break
+        m = _MAX_ROUND
+        if q * _MAX_ROUND > 1.0:
+            m = min(math.ceil((need + 3.0 * math.sqrt(need * (1.0 - q))) / q) + 8, m)
+        r = rng.random((2, m))
+        z = loc - scale * norm_ppf(log_sf_lo + np.log1p(-r[0]))
+        kept = z[r[1] < accept(z)][:need]
+        out[done:done + kept.size] = kept
+        done += kept.size
+    if done < n:
+        raise RuntimeError("rejection sampler failed to converge")
+    return out
 
 
 def _sample_s_marginal(lam: float, t: float, y: float, n: int, rng) -> np.ndarray:
@@ -330,55 +383,34 @@ def _sample_s_marginal(lam: float, t: float, y: float, n: int, rng) -> np.ndarra
     Proposal: N(lam t, 2t) truncated to (y, inf) -- the doubled variance
     dominates the linear factor, so the ratio
     f(s) = (1 - exp(-2 lam (s-y))) * s * exp(-(s - lam t)^2 / (4t))
-    has a finite maximum.  The envelope constant is the maximum of f on the
-    40,001-point grid linspace(max(y, 1e-12), y + lam t + 14 sqrt(t) + 10),
-    times 1 + 1e-6.
-
-    f is strictly log-concave on s > y (the log of each of its three
-    factors is concave), hence unimodal, so its peak and its grid maximum
-    lie within one stride of the peak of log f over every 160th grid point.
-    log f has no underflow plateau, so that coarse search finds the peak
-    even where f itself underflows to 0 on most of the grid.  f is then
-    evaluated only on the grid points within two strides of the coarse peak
-    (one stride of margin for rounding).  Their maximum is the maximum over
-    the whole grid, bit for bit, so the envelope, and with it every draw, is
-    the one a scan of all 40,001 points gives.
+    has a finite maximum (see _envelope).  A proposal z is kept with
+    probability f(z) / env, taken as f(z) / f(s*) / (1 + 1e-6), which does
+    not underflow near the peak.  The acceptance rate is c lam t / (sqrt(2)
+    env Phi_bar((y - lam t)/sqrt(2t))), with the continuous mass
+    c = Phi_bar((y - lam t)/sqrt t) + exp(2 lam y) Phi_bar((y + lam t)/sqrt t).
     """
-    env = _envelope(lam, t, y)
-    out = np.empty(n)
-    idx = np.arange(n)
-    lo_q = norm_cdf((y - lam * t) / np.sqrt(2.0 * t))
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if idx.size == 0:
-            break
-        u = lo_q + rng.random(idx.size) * (1.0 - lo_q)
-        z = lam * t + np.sqrt(2.0 * t) * norm_ppf(u)
-        acc = rng.random(idx.size) * env < _ratio(z, lam, t, y)
-        out[idx[acc]] = z[acc]
-        idx = idx[~acc]
-    if idx.size:
-        raise RuntimeError("rejection sampler failed to converge")
-    return out
+    d, log_env = _envelope(lam, t, y)
+    lt, st = lam * t, math.sqrt(t)
+    s_pk, em_pk = y + d, math.expm1(-2.0 * lam * d)
+    log_sf_lo = float(log_norm_sf((y - lt) / (math.sqrt(2.0) * st)))
+    log_c = float(np.logaddexp(log_norm_sf((y - lt) / st), 2.0 * lam * y + log_norm_sf((y + lt) / st)))
+    p = math.exp(log_c + math.log(lt / math.sqrt(2.0)) - log_env - log_sf_lo)
+
+    def accept(z):
+        return (np.expm1(-2.0 * lam * (z - y)) / em_pk * (z / s_pk)
+                * np.exp((z - s_pk) * (z + s_pk - 2.0 * lt) / (-4.0 * t)) / (1.0 + _ENVELOPE_MARGIN))
+
+    return _rejection(n, p, lt, math.sqrt(2.0) * st, log_sf_lo, accept, rng)
 
 
-def _sample_atom_values(lam: float, t: float, y: float, n: int, rng) -> np.ndarray:
-    """Draw |Y(t)| on the no-sign-change event: truncated Gaussian endpoint
-    accepted with the bridge no-hit probability 1 - exp(-2 a y / t)."""
-    out = np.empty(n)
-    idx = np.arange(n)
-    mu, st = y - lam * t, np.sqrt(t)
-    lo_q = norm_cdf(-mu / st)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if idx.size == 0:
-            break
-        u = lo_q + rng.random(idx.size) * (1.0 - lo_q)
-        z = mu + st * norm_ppf(u)
-        acc = rng.random(idx.size) < -np.expm1(-2.0 * z * y / t)
-        out[idx[acc]] = z[acc]
-        idx = idx[~acc]
-    if idx.size:
-        raise RuntimeError("atom rejection sampler failed to converge")
-    return out
+def _sample_atom_values(lam: float, t: float, y: float, n: int, rng, m_atom: float) -> np.ndarray:
+    """Draw |Y(t)| on the no-sign-change event, whose mass is m_atom:
+    truncated Gaussian endpoint N(y - lam t, t) on (0, inf), accepted with
+    the bridge no-hit probability 1 - exp(-2 a y / t)."""
+    mu, st = y - lam * t, math.sqrt(t)
+    log_sf_lo = float(log_norm_sf(-mu / st))
+    p = math.exp(math.log(m_atom) - log_sf_lo)
+    return _rejection(n, p, mu, st, log_sf_lo, lambda z: -np.expm1(-2.0 * z * y / t), rng)
 
 
 def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> TripleBatch:
@@ -387,7 +419,8 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
     Atom-vs-continuous is decided by the closed-form atom mass; on the
     continuous part the side is a fair coin and (a, b) is drawn via the
     change of variables s = a + b + y (rejection in s, exact truncated
-    exponential for a | s).  Atoms force side = plus.
+    exponential for a | s).  Atoms force side = plus.  Each rejection
+    sampler almost always finishes in one round (see _rejection).
     """
     _check_triple_domain(y, t)
     if n < 0:
@@ -402,7 +435,7 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
     b = np.zeros(n)
     n_atom = int(is_atom.sum())
     if n_atom:
-        a[is_atom] = _sample_atom_values(lam, t, y, n_atom, rng)
+        a[is_atom] = _sample_atom_values(lam, t, y, n_atom, rng, m_atom)
     n_cont = n - n_atom
     if n_cont:
         s = _sample_s_marginal(lam, t, y, n_cont, rng)

@@ -11,7 +11,7 @@ quadrature of these tails cancels catastrophically for large |c|.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -30,8 +30,10 @@ def log_norm_sf(x):
     return log_ndtr(-np.asarray(x, dtype=float))
 
 
-def norm_ppf(q):
-    return ndtri(q)
+def norm_ppf(log_q):
+    """Phi^-1(exp(log_q)): the quantile of a probability given by its log,
+    which keeps its digits far below 1e-308 and close to 1."""
+    return ndtri_exp(log_q)
 
 
 def gauss_tail(c, m, t):

@@ -240,7 +240,10 @@ EXPORT_CASES = {
 # "classify" re-pinned when quarter-turn angles began to give exact 0/+-1
 # blocks (17 ip_sum_norm cells lost their trig residue; verdicts unchanged);
 # "reverse-even" reverse_report.csv re-pinned when the time-T draws came to be
-# taken from the triple law (ks 0.021 -> 0.020)
+# taken from the triple law (ks 0.021 -> 0.020); "sample" and "reverse-even"
+# reverse_report.csv re-pinned when the exact sampler's envelope became the
+# analytic peak of its ratio and its rejection rounds came to be sized from the
+# acceptance rate, with upper-tail proposals
 EXPORT_GOLDEN = {
     "classify": {
         "classify.csv":
@@ -274,11 +277,11 @@ EXPORT_GOLDEN = {
         "backward_drift.csv":
             "e5a7bd82110e97b9eb73fb7ce0fb7b40d33fed0221caa6b6c6ea0de5edd016a8",
         "reverse_report.csv":
-            "3e14b8b599a6ad5f3d58d2dca12273b223ec315424b180a5326f36e6082cf94d",
+            "9ce76ced7f28b0cf55ce65fae37e951f3cd7e500a1b819f94636d6559e03b4f5",
     },
     "sample": {
         "terminal_draws.csv":
-            "9b3ea39afa38f5190f0152290741399154ad1c8d8b991dc4c30b8cebdb407fea",
+            "f8d9898e9737bd9294943b93738d9718ab650316b1b714fc43eb98ed3937b351",
     },
     "simulate-B": {
         "path_000.csv":

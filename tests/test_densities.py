@@ -512,11 +512,14 @@ def _pin_values(law):
 
 
 # recorded before the symmetry cases were reduced to the canonical one and
-# the scalar/array return rule was given one home
+# the scalar/array return rule was given one home; "exact_sample_terminal"
+# re-pinned when the sampler's envelope became the analytic peak of its ratio
+# and each rejection sampler came to draw one sized round of upper-tail
+# proposals
 LAW_GOLDEN = {
     "planar_density": "2ef49b9306f39b6af3bc49290b6129562408f1c9a80327bb388ca600bdb69b22",
     "planar_atom": "fd77dbdb84e047dd7fd3d93268d777fb391ffdfb23582bedbd51a446ab5dc107",
-    "exact_sample_terminal": "b5714df3ae81531132c2282720227e35633f7781847b87ca11c6b05880b62f7c",
+    "exact_sample_terminal": "3d8e3cb7cfdf904c5f87737d5d0bf95fce3aa15627d91a5a5cad45cdc266f512",
     "joint_density_degenerate": "c2f779fc26548bb5822774de7101d64db56af123adb6c880531a9083f89bdbdc",
     "atom_line_density": "44ac7f0eb6657c611afc09bcc44179cb258733f301f20e2ccc9fed521a28c6d8",
     "skew_construct": "5bf849aaa0fd2418878338fe83c672a8238abbf476335db724919efebb21c11e",
