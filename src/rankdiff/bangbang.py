@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, ParameterError, as_generator, check_time_start, scalar_or_array
+from .core import (BLOCK_CELLS, ModelParams, ParameterError, as_generator, check_time_start,
+                   scalar_or_array)
 from .tails import gauss_tail, log_norm_sf, norm_cdf, norm_ppf
 
 
@@ -145,15 +146,16 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
     """Full Euler trajectories for a batch of paths.
 
     Returns (times, Y, dW) with Y of shape (n_steps + 1, n_paths) and dW of
-    shape (n_steps, n_paths); memory-heavy, intended for estimator studies.
+    shape (n_steps, n_paths).  Its peak memory is these outputs: dW is
+    scaled in place and each step builds one row.
     """
     _check_batch(y0, T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
-    sq = np.sqrt(dt)
     y = np.empty((n_steps + 1, n_paths))
     y[0] = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths,))
-    dw = rng.standard_normal((n_steps, n_paths)) * sq
+    dw = rng.standard_normal((n_steps, n_paths))
+    dw *= np.sqrt(dt)
     for k in range(n_steps):
         y[k + 1] = y[k] - lam * np.where(y[k] > 0, 1.0, -1.0) * dt + dw[k]
     return np.linspace(0.0, T, n_steps + 1), y, dw
@@ -162,6 +164,32 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
 # ---------------------------------------------------------------------------
 # local time estimators
 # ---------------------------------------------------------------------------
+
+def _signed_scan(y, dw, finish) -> np.ndarray:
+    """Running max along axis 0 of finish(rows, c), where c_k = sum_{j<k}
+    sign(y_j) dw_j (c_0 = 0; dw None means the increments of y itself),
+    taken over row blocks of about BLOCK_CELLS cells.
+
+    Exact: cumsum along axis 0 adds each column in order, so adding the
+    carried last row of c into the next block's first term gives the
+    whole-array sums, and max is exact in any order.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0] - 1
+    out = np.empty(y.shape)
+    out[0] = finish(slice(0, 1), np.zeros((1,) + y.shape[1:]))[0]
+    rows = max(1, BLOCK_CELLS // max(1, y[0].size))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        c = np.where(y[i:j] > 0, 1.0, -1.0) * (y[i + 1:j + 1] - y[i:j] if dw is None else dw[i:j])
+        if i:
+            c[0] += carry
+        carry = np.cumsum(c, axis=0, out=c)[-1]
+        v = finish(slice(i + 1, j + 1), c)
+        np.maximum(v[:1], out[i:i + 1], out=v[:1])
+        np.maximum.accumulate(v, axis=0, out=out[i + 1:j + 1])
+    return out
+
 
 def tanaka_residual_series(y_values: np.ndarray) -> np.ndarray:
     """Local-time series from the pathwise residual of |Y|, along axis 0.
@@ -173,10 +201,8 @@ def tanaka_residual_series(y_values: np.ndarray) -> np.ndarray:
     net, not a correction.
     """
     y = np.asarray(y_values, dtype=float)
-    s = np.where(y[:-1] > 0, 1.0, -1.0)
-    stoch = np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(s * np.diff(y, axis=0), axis=0)])
-    raw = 0.5 * (np.abs(y) - np.abs(y[0]) - stoch)
-    return np.maximum.accumulate(raw, axis=0)
+    y0 = np.abs(y[0])
+    return _signed_scan(y, None, lambda rows, c: 0.5 * (np.abs(y[rows]) - y0 - c))
 
 
 tanaka_residual_matrix = tanaka_residual_series  # the batch name the benchmark calls
@@ -204,10 +230,8 @@ def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray
     V_flat(t) = int sign(Y) dW is rebuilt from them.  Returns 2*L, not L.
     """
     grid = np.reshape(times, (-1,) + (1,) * (np.ndim(y) - 1))
-    s = np.where(y[:-1] > 0, 1.0, -1.0)
-    v_flat = np.concatenate([np.zeros((1,) + np.shape(y)[1:]), np.cumsum(s * dw, axis=0)])
-    slack = np.abs(y[0]) + v_flat - lam * grid
-    return np.maximum.accumulate(np.maximum(-slack, 0.0), axis=0)
+    y0 = np.abs(y[0])
+    return _signed_scan(y, dw, lambda rows, c: np.maximum(-(y0 + c - lam * grid[rows]), 0.0))
 
 
 # ---------------------------------------------------------------------------

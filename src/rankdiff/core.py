@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
+BLOCK_CELLS = 1 << 16  # cells per row block of the blocked grids and scans: 512 KB of float64
 
 
 class ParameterError(ValueError):

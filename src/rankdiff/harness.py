@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 from scipy.special import chdtrc
 
-from .core import ParameterError, SeedSpec, scalar_or_array
+from .core import BLOCK_CELLS, ParameterError, SeedSpec, scalar_or_array
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,21 @@ def gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
     return np.concatenate(pts), np.concatenate(wts)
 
 
+def grid_values(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """f(a[:, None], b[None, :]) for an elementwise f, evaluated over row
+    blocks of about BLOCK_CELLS cells into one float64 array.
+
+    Exact: each cell depends only on its own (a_i, b_j), so the blocks give
+    the whole-grid values, while f's temporaries stay the size of a block.
+    """
+    out = np.empty((len(a), len(b)))
+    rows = max(1, BLOCK_CELLS // max(len(b), 1))
+    for i in range(0, len(a), rows):
+        out[i:i + rows] = f(a[i:i + rows, None], b[None, :])
+    return out
+
+
 def expected_cell_masses(density2d: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          edges1: np.ndarray, edges2: np.ndarray,
                          subdiv: int = 4, order: int = 8) -> np.ndarray:
@@ -208,7 +223,9 @@ def expected_cell_masses(density2d: Callable[[np.ndarray, np.ndarray], np.ndarra
 
     p1, w1, o1 = axis(edges1)
     p2, w2, o2 = axis(edges2)
-    vals = density2d(p1[:, None], p2[None, :]) * w1[:, None] * w2[None, :]
+    vals = grid_values(density2d, p1, p2)
+    vals *= w1[:, None]
+    vals *= w2[None, :]
     out = np.zeros((len(edges1) - 1, len(edges2) - 1))
     np.add.at(out, (o1[:, None], o2[None, :]), vals)
     return out

@@ -24,9 +24,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
-from .core import InitialState, ModelParams, SeedSpec, validate_params
-from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, ks_statistic,
-                      ks_two_sample, pmap_batches)
+from .core import BLOCK_CELLS, InitialState, ModelParams, SeedSpec, validate_params
+from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, grid_values,
+                      ks_statistic, ks_two_sample, pmap_batches)
 
 # stream id blocks per check, so adding draws to one never shifts another
 _STREAMS = {
@@ -58,9 +58,7 @@ def _mass_rotated(density2: Callable, u_lo, u_hi, s_lo, s_hi, u_cuts=(), n_panel
     """
     pu, wu = gl_points(u_lo, u_hi, n_panels, cuts=u_cuts)
     ps, ws = gl_points(s_lo, s_hi, n_panels)
-    xi1 = (ps[None, :] + pu[:, None]) / 2.0
-    xi2 = (ps[None, :] - pu[:, None]) / 2.0
-    vals = density2(xi1, xi2)
+    vals = grid_values(lambda u, s: density2((s + u) / 2.0, (s - u) / 2.0), pu, ps)
     return 0.5 * float(np.einsum("i,j,ij->", wu, ws, vals))
 
 
@@ -76,14 +74,14 @@ def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
     hw = abs(s0.y) + p.lam * t + 13 * math.sqrt(t) + 3
     pu, wu = gl_points(1e-12, hw, n_panels)
     pw, ww = gl_points(front - hw, front, n_panels)
-    x_hi, x_lo = pw[None, :] + pu[:, None], pw[None, :] + 0 * pu[:, None]
 
-    def mass(vals):
+    def mass(f):  # f(x_hi, x_lo) over the (u, w) grid
+        vals = grid_values(lambda u, w: f(w + u, w + 0 * u), pu, pw)
         return float(np.einsum("i,j,ij->", wu, ww, vals))
 
-    joint = mass(densities.joint_density_degenerate(p, s0, t, x_hi, x_lo))
-    joint += mass(densities.joint_density_degenerate(p, s0, t, x_lo, x_hi))
-    return scale * joint, scale * mass(densities.rank_density_degenerate(p, s0, t, x_hi, x_lo))
+    joint = mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, hi, lo))
+    joint += mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, lo, hi))
+    return scale * joint, scale * mass(lambda hi, lo: densities.rank_density_degenerate(p, s0, t, hi, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +239,7 @@ def _fine_grid_marginals(p, s0, t, lo1, hi1, lo2, hi2, n=2000):
     c1 = (g1[1:] + g1[:-1]) / 2
     c2 = (g2[1:] + g2[:-1]) / 2
     h1, h2 = g1[1] - g1[0], g2[1] - g2[0]
-    vals = densities.planar_density(p, s0, t, c1[:, None], c2[None, :])
+    vals = grid_values(lambda a, b: densities.planar_density(p, s0, t, a, b), c1, c2)
     m1 = vals.sum(axis=1) * h2
     m2 = vals.sum(axis=0) * h1
     atoms1, atoms2 = [], []
@@ -366,14 +364,13 @@ def _localtime_gap_rms(seed: SeedSpec, dt: float, n_paths: int, which: str,
                        lam: float = 2.0, y0: float = 0.3, T: float = 1.0) -> float:
     n_steps = int(round(T / dt))
     times, y, dw = bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, seed.generator())
-    el = bangbang.tanaka_residual_matrix(y)
-    if which == "skorokhod":
-        gap = 2.0 * el[-1] - bangbang.skorokhod_local_time_series(y, dw, times, lam)[-1]
-    elif which == "reversal":
-        el_rev = bangbang.tanaka_residual_matrix(y[::-1])
-        target = el[-1] - el[::-1]
+    if which == "skorokhod":  # the Tanaka matrix is freed before the reflection is built
+        gap = (2.0 * bangbang.tanaka_residual_matrix(y)[-1]
+               - bangbang.skorokhod_local_time_series(y, dw, times, lam)[-1])
+    elif which == "reversal":  # row k of el_rev - (el[-1] - el[::-1]); the scan is causal
         k = n_steps // 2
-        gap = el_rev[k] - target[k]
+        el = bangbang.tanaka_residual_matrix(y)
+        gap = bangbang.tanaka_residual_matrix(y[::-1][:k + 1])[k] - (el[-1] - el[n_steps - k])
     else:
         raise ValueError(which)
     return float(np.sqrt(np.mean(gap**2)))
@@ -383,11 +380,13 @@ def check_local_time(seed: SeedSpec, n_paths: int = 256) -> List:
     reports = []
     dt = 1e-4
     eps = dt**0.4
-    _, y, _ = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)),
-                                             max(n_paths, 8), seed.stream(0).generator())
+    y = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)), max(n_paths, 8),
+                                       seed.stream(0).generator())[1]
     el = bangbang.tanaka_residual_matrix(y)[-1]
-    occ = (np.abs(y[:-1]) < eps).sum(axis=0) * dt / (4.0 * eps)
-    rel = np.abs(occ - el) / el
+    n, rows = len(y) - 1, max(1, BLOCK_CELLS // y.shape[1])  # occupation counted per row block
+    inside = sum((np.abs(y[i:min(i + rows, n)]) < eps).sum(axis=0) for i in range(0, n, rows))
+    rel = np.abs(inside * dt / (4.0 * eps) - el) / el
+    del y, el  # the halving rows below build their own batches
     reports.append(_report("mean-CI", "local-time/occupation-vs-residual",
                            float(np.median(rel)), 0.10, len(rel),
                            note=f"median relative gap at dt={dt:g}, eps=dt^0.4"))

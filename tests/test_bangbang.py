@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from rankdiff import bangbang, planar
@@ -606,3 +608,71 @@ def test_density_scalar_and_array_conventions():
     assert both.shape == (2, 2)
     # a negative start is the mirror image of the positive one
     assert both[0, 0] == both[1, 1] and both[0, 1] == both[1, 0]
+
+
+# ---------------------------------------------------------------------------
+# blocked scans: bit-identical to the whole-array formulas
+# ---------------------------------------------------------------------------
+
+def tanaka_whole(y):
+    s = np.where(y[:-1] > 0, 1.0, -1.0)
+    stoch = np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(s * np.diff(y, axis=0), axis=0)])
+    return np.maximum.accumulate(0.5 * (np.abs(y) - np.abs(y[0]) - stoch), axis=0)
+
+
+def skorokhod_whole(y, dw, times, lam):
+    grid = np.reshape(times, (-1,) + (1,) * (y.ndim - 1))
+    s = np.where(y[:-1] > 0, 1.0, -1.0)
+    v_flat = np.concatenate([np.zeros((1,) + y.shape[1:]), np.cumsum(s * dw, axis=0)])
+    return np.maximum.accumulate(np.maximum(-(np.abs(y[0]) + v_flat - lam * grid), 0.0), axis=0)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_scans_exact(y, dw, times, lam=1.5):
+    assert_same_bytes(bangbang.tanaka_residual_series(y), tanaka_whole(y))
+    assert_same_bytes(bangbang.tanaka_residual_matrix(y), tanaka_whole(y))
+    assert_same_bytes(bangbang.skorokhod_local_time_series(y, dw, times, lam),
+                      skorokhod_whole(y, dw, times, lam))
+
+
+def lattice_batch(n_rows, n_cols, seed):
+    """Paths on a half-integer lattice: many exact zeros, ties and zero
+    increments, so the sign(0) = -1 rule and signed zeros are exercised."""
+    rng = SeedSpec(seed).generator()
+    y = rng.integers(-3, 4, (n_rows,) + n_cols) * 0.5
+    dw = rng.standard_normal((n_rows - 1,) + n_cols)
+    return y, dw, np.linspace(0.0, 1.0, n_rows)
+
+
+@pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 511, 512, 513, 1000])
+def test_blocked_scans_exact_around_block_rows(n_steps):
+    # 256 paths: a block holds 2**16 // 256 = 256 increment rows
+    times, y, dw = bangbang.euler_gap_paths_batch(2.0, 0.1, 1.0, n_steps, 256, SeedSpec(n_steps).generator())
+    assert_scans_exact(y, dw, times)
+    assert_scans_exact(*lattice_batch(n_steps + 1, (256,), n_steps))
+
+
+def test_blocked_scans_exact_on_one_row_and_wide_rows():
+    assert_scans_exact(np.array([[0.3, -0.2, 0.0]]), np.empty((0, 3)), np.array([0.0]))
+    assert_scans_exact(np.array([-0.4]), np.empty(0), np.array([0.0]))
+    assert_scans_exact(*lattice_batch(4, ((1 << 16) + 3,), 7))  # a row wider than one block
+    assert_scans_exact(np.empty((5, 0)), np.empty((4, 0)), np.linspace(0.0, 1.0, 5))
+
+
+def test_blocked_scans_exact_on_reversed_and_one_dimensional_paths():
+    times, y, dw = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, 700, 300, SeedSpec(3).generator())
+    assert_scans_exact(y[::-1], dw[::-1], times)
+    assert_scans_exact(y[:, 0], dw[:, 0], times)  # 1-D and strided
+    path = bangbang.euler_gap_path(2.0, 0.2, 1.0, 70_000, seed=5)  # 1-D over two blocks
+    assert_scans_exact(path.y_values, path.w_increments, path.times)
+    assert_same_bytes(path.l_values, tanaka_whole(path.y_values))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 200), st.integers(0, 1500), st.integers(0, 2**32 - 1))
+def test_blocked_scans_exact_property(n_rows, n_cols, seed):
+    assert_scans_exact(*lattice_batch(n_rows, (n_cols,) if n_cols else (), seed))

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
-from rankdiff import densities, planar
+from rankdiff import densities, planar, validation
 from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
 from rankdiff.harness import (CSV_BLOCK_ROWS, ExperimentConfig, GofReport, _float_body,
                               PiecewiseBV, binomial_z, chi2_against_density, chi2_sf,
-                              expected_cell_masses, ks_statistic, ks_two_sample,
-                              pmap_batches, tanaka_coalescence_experiment,
+                              expected_cell_masses, gl_points, grid_values, ks_statistic,
+                              ks_two_sample, pmap_batches, tanaka_coalescence_experiment,
                               write_csv)
 
 
@@ -108,6 +108,61 @@ def test_expected_cell_masses_on_gaussian():
         lambda a, b: norm.pdf(a) * norm.pdf(b), e, e, subdiv=4, order=10)
     marg = np.diff(norm.cdf(e))
     np.testing.assert_allclose(masses, marg[:, None] * marg[None, :], atol=1e-10)
+
+
+def grid_densities():
+    """(name, f(a, b)) for every density the blocked grids evaluate, in the
+    coordinates each caller passes."""
+    out = [(f"planar/{name}", lambda a, b, p=p, s0=s0: densities.planar_density(p, s0, 1.0, a, b))
+           for name, p, s0 in validation._sampler_cases()]
+    deg, s0 = validate_params(1.0, 1.0, 1.0, 0.0), InitialState(0.5, 0.0)
+    out += [("joint-degenerate/hi-lo",
+             lambda u, w: densities.joint_density_degenerate(deg, s0, 0.5, w + u, w + 0 * u)),
+            ("joint-degenerate/lo-hi",
+             lambda u, w: densities.joint_density_degenerate(deg, s0, 0.5, w + 0 * u, w + u)),
+            ("rank-degenerate",
+             lambda u, w: densities.rank_density_degenerate(deg, s0, 0.5, w + u, w + 0 * u))]
+    iso = validate_params(1.0, 0.5, 1 / math.sqrt(2), 1 / math.sqrt(2), renormalize=True)
+    une = validate_params(1.0, 0.5, 0.8, 0.6)
+    out += [("isotropic", lambda u, s: densities.joint_density_isotropic(
+                iso, InitialState(0.3, 0.0), 2.0, (s + u) / 2.0, (s - u) / 2.0)),
+            ("psi", lambda u, s: densities.psi_density(une, 0.4, 0.5, (s + u) / 2.0, (s - u) / 2.0))]
+    return out
+
+
+@pytest.mark.parametrize("name,f", grid_densities(), ids=[n for n, _ in grid_densities()])
+def test_grid_values_exact_for_each_density(name, f):
+    # 389 x 457 cells: 143 rows per block, a ragged last block; u > 0 for the wedge laws
+    a = np.linspace(1e-12, 3.0, 389) if "degenerate" in name else np.linspace(-3.0, 3.0, 389)
+    b = np.linspace(-3.1, 2.9, 457)
+    got, want = grid_values(f, a, b), f(a[:, None], b[None, :])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_expected_cell_masses_exact_against_whole_grid():
+    p, s0 = validate_params(1.0, 0.5, 0.8, 0.6), InitialState(0.4, 0.0)
+    e1, e2 = np.linspace(-3.0, 3.0, 21), np.linspace(-2.5, 3.5, 18)
+    def f(a, b):
+        return densities.planar_density(p, s0, 1.0, a, b)
+
+    p1, w1 = gl_points(e1[0], e1[-1], 4, 8, cuts=e1[1:-1])
+    p2, w2 = gl_points(e2[0], e2[-1], 4, 8, cuts=e2[1:-1])
+    want = np.zeros((20, 17))
+    np.add.at(want, (np.repeat(np.arange(20), 32)[:, None], np.repeat(np.arange(17), 32)[None, :]),
+              f(p1[:, None], p2[None, :]) * w1[:, None] * w2[None, :])
+    assert expected_cell_masses(f, e1, e2).tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 700), st.integers(1, 700), st.sampled_from(range(4)))
+def test_grid_values_exact_property(n_rows, n_cols, case):
+    _, p, s0 = validation._sampler_cases()[case]
+    a, b = np.linspace(-2.0, 2.5, n_rows), np.linspace(-2.2, 2.1, n_cols)
+
+    def f(x1, x2):
+        return densities.planar_density(p, s0, 1.0, x1, x2)
+
+    assert grid_values(f, a, b).tobytes() == f(a[:, None], b[None, :]).tobytes()
 
 
 def test_chi2_against_density_calibrated():

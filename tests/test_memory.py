@@ -1,0 +1,57 @@
+"""Memory guard: tracemalloc peaks of the blocked grid and scan kernels.
+
+Each budget is the peak measured when the row blocks went in (Python 3.11,
+numpy 2.4), rounded up by about 12%.  The whole-array code they replaced
+peaked at 77 MB (Tanaka), 96 MB (Skorokhod), 58 MB (normalization) and
+28 MB (cell masses).  Never loosen a budget to make it pass.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rankdiff import bangbang, densities, validation
+from rankdiff.core import InitialState, SeedSpec, validate_params
+from rankdiff.harness import expected_cell_masses
+
+MB = 1e6
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def batch():
+    return bangbang.euler_gap_paths_batch(2.0, 0.3, 1.0, 4000, 600, SeedSpec(1).generator())
+
+
+def test_tanaka_scan_peak_is_its_output(batch):
+    _, y, _ = batch
+    el, peak = traced_peak(lambda: bangbang.tanaka_residual_matrix(y))
+    assert el.nbytes == 19_204_800 and peak < 24 * MB  # measured 21.4 MB
+
+
+def test_skorokhod_scan_peak_is_its_output(batch):
+    times, y, dw = batch
+    two_l, peak = traced_peak(lambda: bangbang.skorokhod_local_time_series(y, dw, times, 2.0))
+    assert two_l.nbytes == 19_204_800 and peak < 24 * MB  # measured 21.4 MB
+
+
+def test_normalization_check_peak():
+    _, peak = traced_peak(validation.check_normalization)
+    assert peak < 16 * MB  # measured 13.8 MB
+
+
+def test_expected_cell_masses_peak_on_twenty_bins():
+    p, s0 = validate_params(1.0, 0.5, 0.8, 0.6), InitialState(0.4, 0.0)
+    e = np.linspace(-3.0, 3.0, 21)
+    masses, peak = traced_peak(lambda: expected_cell_masses(
+        lambda a, b: densities.planar_density(p, s0, 1.0, a, b), e, e))
+    assert masses.shape == (20, 20) and peak < 12 * MB  # measured 10.2 MB
