@@ -125,20 +125,23 @@ def _check_batch(y0, T, n_steps, n_paths):
         raise ParameterError("require n_steps >= 1 and n_paths >= 1")
 
 
-def gap_euler_step(y: np.ndarray, lam: float, dt: float, rng) -> None:
-    """One Euler step of dY = -lam*sign(Y) dt + dW for every path of y, in
-    place, with normals drawn from the numpy Generator rng."""
-    y += -lam * np.where(y > 0, 1.0, -1.0) * dt + rng.standard_normal(y.shape[0]) * np.sqrt(dt)
+def gap_euler_step(y: np.ndarray, lam: float, dt: float, dw: np.ndarray) -> None:
+    """One Euler step of dY = -lam*sign(Y) dt + dW for every path of y, in place,
+    with increments dw, rounded as euler_gap_path: y <- (y - lam sign(y) dt) + dw."""
+    lam_dt = lam * dt
+    y -= np.where(y > 0, lam_dt, -lam_dt)
+    y += dw
 
 
 def euler_gap_terminal(lam: float, y0, T: float, n_steps: int, n_paths: int, rng) -> np.ndarray:
-    """Terminal values Y(T) of n_paths Euler paths (nothing else stored)."""
+    """Terminal values Y(T) of n_paths Euler paths (nothing else stored): the
+    last row of euler_gap_paths_batch with the same rng."""
     _check_batch(y0, T, n_steps, n_paths)
     rng = as_generator(rng)
     dt = T / n_steps
     y = np.broadcast_to(np.asarray(y0, dtype=float), (n_paths,)).copy()
     for _ in range(n_steps):
-        gap_euler_step(y, lam, dt, rng)
+        gap_euler_step(y, lam, dt, rng.standard_normal(n_paths) * np.sqrt(dt))
     return y
 
 
@@ -147,7 +150,8 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
 
     Returns (times, Y, dW) with Y of shape (n_steps + 1, n_paths) and dW of
     shape (n_steps, n_paths).  Its peak memory is these outputs: dW is
-    scaled in place and each step builds one row.
+    scaled in place and each step updates one row.  Column j is the
+    euler_gap_path of the same draws.
     """
     _check_batch(y0, T, n_steps, n_paths)
     rng = as_generator(rng)
@@ -157,7 +161,8 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
     dw = rng.standard_normal((n_steps, n_paths))
     dw *= np.sqrt(dt)
     for k in range(n_steps):
-        y[k + 1] = y[k] - lam * np.where(y[k] > 0, 1.0, -1.0) * dt + dw[k]
+        y[k + 1] = y[k]
+        gap_euler_step(y[k + 1], lam, dt, dw[k])
     return np.linspace(0.0, T, n_steps + 1), y, dw
 
 

@@ -4,10 +4,11 @@ exact construction from the gap process, exact terminal sampling, and ranks.
 Four systems of SDEs share the generator: the name-noise system "B", the two
 intertwined systems "W" and "V", and an arbitrary square-root configuration
 of the covariance matrix.  Each is read from one description, its per-state
-unit blocks U[s] (the names from classifier.SYSTEMS).  All of them keep
-their raw driving increments so any derived Brownian motion can be
-reconstructed after the fact; that is the mechanism behind every
-path-identity test in this package.
+unit blocks U[s] (the names from classifier.SYSTEMS), and both Euler kernels
+step every system by one noise rule, m[s, i, 0] dz0 + m[s, i, 1] dz1 with
+m[s] = volatilities x U[s].  All of them keep their raw driving increments
+so any derived Brownian motion can be reconstructed after the fact; that is
+the mechanism behind every path-identity test in this package.
 """
 
 from __future__ import annotations
@@ -25,18 +26,8 @@ from .core import InitialState, ModelParams, ParameterError, as_generator, check
 SystemKind = Union[str, SqrtConfig]  # "B" | "W" | "V" | square-root config
 
 
-def _described(unit: np.ndarray):
-    """(U, perm): perm = (src, sign) with U[s, i] = sign[s, i] e_{src[s, i]}
-    when every unit row has one nonzero entry, else None."""
-    nonzero = unit != 0
-    if not (nonzero.sum(axis=-1) == 1).all():
-        return unit, None
-    src = nonzero.argmax(axis=-1)
-    return unit, (src, np.take_along_axis(unit, src[..., None], axis=-1)[..., 0])
-
-
-# the named systems do not depend on the parameters: described once, here
-_NAMED = {name: _described(unit_blocks(*angles)) for name, angles in SYSTEMS.items()}
+# the named systems do not depend on the parameters: their unit blocks, built once
+_NAMED = {name: unit_blocks(*angles) for name, angles in SYSTEMS.items()}
 
 
 @dataclass(frozen=True)
@@ -115,9 +106,10 @@ class NoiseBundle:
         return np.concatenate([[0.0], np.cumsum(self.increments(name))])
 
 
-def _system(kind: SystemKind):
+def _system(kind: SystemKind) -> np.ndarray:
+    """The unit blocks U[s] of a system."""
     if isinstance(kind, SqrtConfig):
-        return _described(kind.unit)
+        return kind.unit
     if isinstance(kind, str) and kind in _NAMED:
         return _NAMED[kind]
     raise ParameterError(f"system kind must be one of {tuple(_NAMED)} or a SqrtConfig, got {kind!r}")
@@ -180,22 +172,14 @@ def gap_path_of(path: PlanarPath) -> YPath:
 # ---------------------------------------------------------------------------
 
 def _step_table(kind: SystemKind, p: ModelParams, dt: float):
-    """Per-state Euler step of a system: (drift, coef, src).
+    """Per-state Euler step of a system: (drift, m).
 
     State s is 0 = down (x1 <= x2, ties included) or 1 = up.  A step is
-    x_i + drift[i, s] + noise_i, with the noise in state s the square root
-    m[s] = volatilities x unit block U[s].  Where every unit row has one
-    nonzero entry (B, W, V and any quarter-turn configuration) the block is a
-    signed permutation, noise_i = coef[i, s] * dz[src[i, s]]; otherwise
-    coef = m, noise = m[s] @ dz, and src is None.
+    x_i + drift[i, s] + noise_i, with noise_i = m[s, i, 0] dz0 + m[s, i, 1] dz1
+    and m[s] = volatilities x unit block U[s], the square root in state s.
     """
     drift = np.array([[p.g * dt, -p.h * dt], [-p.h * dt, p.g * dt]])
-    vol = volatilities(p.rho, p.sigma)
-    unit, perm = _system(kind)
-    if perm is None:
-        return drift, vol[..., None] * unit, None
-    src, sign = perm                                   # both [s, i]
-    return drift, (vol * sign).T, src.T
+    return drift, volatilities(p.rho, p.sigma)[..., None] * _system(kind)
 
 
 def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
@@ -210,7 +194,7 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
     if n_steps < 1:
         raise ParameterError("require n_steps >= 1")
     dt = T / n_steps
-    drift, coef, src = _step_table(kind, p, dt)
+    drift, m = _step_table(kind, p, dt)
     if increments is None:
         rng = as_generator(seed)
         increments = rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
@@ -218,46 +202,44 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps, 2):
             raise ParameterError("increments must have shape (n_steps, 2)")
+    # each coordinate's noise in each state at every step, noise[s, i, k]; as in
+    # the batch, a state without noise adds -0.0, the identity of +
+    (n1_dn, n2_dn), (n1_up, n2_up) = np.where(
+        m.any(axis=-1)[..., None],
+        m[..., 0, None] * increments[:, 0] + m[..., 1, None] * increments[:, 1], -0.0).tolist()
+    (d1_dn, d1_up), (d2_dn, d2_up) = drift.tolist()
     x1, x2 = float(s0.x1), float(s0.x2)
     xs1, xs2 = [x1], [x2]
-    if src is None:  # a 2x2 matmul rounds differently from two products and a sum
-        (d1, d2), sig = drift.tolist(), tuple(coef)
-        for k in range(n_steps):
-            s = x1 > x2
-            n1, n2 = (sig[s] @ increments[k]).tolist()
-            x1, x2 = x1 + d1[s] + n1, x2 + d2[s] + n2
-            xs1.append(x1)
-            xs2.append(x2)
-    else:
-        # each coordinate's noise in each state at every step: the products a step adds
-        (n1_dn, n1_up), (n2_dn, n2_up) = (
-            [(coef[i, s] * increments[:, src[i, s]]).tolist() for s in (0, 1)] for i in (0, 1))
-        (d1_dn, d1_up), (d2_dn, d2_up) = drift.tolist()
-        for a_dn, a_up, b_dn, b_up in zip(n1_dn, n1_up, n2_dn, n2_up):
-            if x1 > x2:
-                x1, x2 = x1 + d1_up + a_up, x2 + d2_up + b_up
-            else:
-                x1, x2 = x1 + d1_dn + a_dn, x2 + d2_dn + b_dn
-            xs1.append(x1)
-            xs2.append(x2)
+    for a_dn, a_up, b_dn, b_up in zip(n1_dn, n1_up, n2_dn, n2_up):
+        if x1 > x2:
+            x1, x2 = x1 + d1_up + a_up, x2 + d2_up + b_up
+        else:
+            x1, x2 = x1 + d1_dn + a_dn, x2 + d2_dn + b_dn
+        xs1.append(x1)
+        xs2.append(x2)
     times = np.linspace(0.0, T, n_steps + 1)
     tag = "custom" if isinstance(kind, SqrtConfig) else kind
-    return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, _system(kind)[0])
+    return PlanarPath(p, times, np.array(xs1), np.array(xs2), tag, increments, _system(kind))
 
 
 def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: float,
                          n_steps: int, n_paths: int, seed=None):
-    """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized; for B, W
-    and V with n_paths = 1, the end of the path euler_simulate draws from the same seed."""
+    """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized; for every
+    system with n_paths = 1, the end of the path euler_simulate draws from the same seed."""
     check_time_start(t)
     if n_steps < 1 or n_paths < 1:
         raise ParameterError("require n_steps >= 1 and n_paths >= 1")
     rng = as_generator(seed)
     dt = t / n_steps
     sq = np.sqrt(dt)
-    drift, coef, src = _step_table(kind, p, dt)
+    drift, m = _step_table(kind, p, dt)
+    # noise[i, s], coordinate i's noise in state s, sums the products m[s, i, j] dz_j
+    # with a nonzero coefficient: one with an exact zero coefficient adds an exact
+    # +-0 to the other, so B, W and V keep one multiply per state, and a state
+    # without noise keeps -0.0, the identity of +
+    terms = [[[(m[s, i, j], j) for j in (0, 1) if m[s, i, j] != 0] for s in (0, 1)] for i in (0, 1)]
     x1, x2 = np.full(n_paths, float(s0.x1)), np.full(n_paths, float(s0.x2))
-    dz, noise = np.empty((2, n_paths)), np.empty((2, n_paths))  # noise[s]: noise in state s
+    dz, noise = np.empty((2, n_paths)), np.full((2, 2, n_paths), -0.0)
     s, pick = np.empty(n_paths, dtype=np.intp), np.empty(n_paths, dtype=np.intp)
     buf, lanes = np.empty(n_paths), np.arange(n_paths)
     for _ in range(n_steps):
@@ -269,13 +251,13 @@ def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: 
         for i, x in enumerate((x1, x2)):
             # mode="clip" is np.take's fast path; every index here is in range
             x += np.take(drift[i], s, out=buf, mode="clip")
-            for state in (0, 1):
-                if src is None:
-                    np.multiply(coef[state, i, 0], dz[0], out=noise[state])
-                    noise[state] += np.multiply(coef[state, i, 1], dz[1], out=buf)
-                else:
-                    np.multiply(coef[i, state], dz[src[i, state]], out=noise[state])
-            x += np.take(noise, pick, out=buf, mode="clip")
+            for row, products in zip(noise[i], terms[i]):
+                for k, (c, j) in enumerate(products):
+                    if k:
+                        row += np.multiply(c, dz[j], out=buf)
+                    else:
+                        np.multiply(c, dz[j], out=row)
+            x += np.take(noise[i], pick, out=buf, mode="clip")
     return x1, x2
 
 

@@ -192,9 +192,9 @@ def reversal_ks(spec: BackwardDriftSpec, n_steps: int, n_paths: int, seed: SeedS
     steady = spec.mode == "steady_state"
     rng = seed.stream(0).generator()
     y = rng.laplace(0.0, 1.0 / (2 * p.lam), n_paths) if steady else np.full(n_paths, spec.y0)
-    k = n_steps // 2
+    k, dt = n_steps // 2, T / n_steps
     for _ in range(k):
-        gap_euler_step(y, p.lam, T / n_steps, rng)
+        gap_euler_step(y, p.lam, dt, rng.standard_normal(n_paths) * np.sqrt(dt))
     if steady:
         y_term = seed.stream(1).generator().laplace(0.0, 1.0 / (2 * p.lam), n_paths)
     else:

@@ -368,6 +368,7 @@ def _localtime_gap_rms(seed: SeedSpec, dt: float, n_paths: int, which: str,
         gap = (2.0 * bangbang.tanaka_residual_matrix(y)[-1]
                - bangbang.skorokhod_local_time_series(y, dw, times, lam)[-1])
     elif which == "reversal":  # row k of el_rev - (el[-1] - el[::-1]); the scan is causal
+        del dw  # not read here: freed before the Tanaka matrices are built
         k = n_steps // 2
         el = bangbang.tanaka_residual_matrix(y)
         gap = bangbang.tanaka_residual_matrix(y[::-1][:k + 1])[k] - (el[-1] - el[n_steps - k])
@@ -468,7 +469,7 @@ def check_invariant_law(seed: SeedSpec, n_paths: int = 768) -> List:
     counts = np.zeros(len(edges) - 1)
     n_tot = 0
     for k in range(n_steps):
-        bangbang.gap_euler_step(y, lam, dt, rng)
+        bangbang.gap_euler_step(y, lam, dt, rng.standard_normal(n_paths) * np.sqrt(dt))
         if k >= burn_steps and k % thin == 0:
             c, _ = np.histogram(y, edges)
             counts += c

@@ -554,9 +554,11 @@ def _golden_arrays(kernel):
 
 
 # sha256 of the float64 outputs, recorded before the gap step, the Skorokhod
-# formula and the two transition densities were each given a single home
+# formula and the two transition densities were each given a single home;
+# "terminal" re-pinned when its step came to round as the batch's,
+# (y - lam sign(y) dt) + dw
 GOLDEN = {
-    "terminal": "26011b331cedf136c0f25c15cd23ff9f511983bf933b86094c879fb72b6534a7",
+    "terminal": "52aa599bfed648142e3c5139ea0f59802c76ca3fa4b428c0b8bcfc377f72b93b",
     "batch": "e2b1edf19b6ad5432ff9c17275d5dcd06b4bc1763467399019edc4118ff2c01a",
     "scalar": "156dbb17b1eed641f1d66aaf2e148f3dc210cf92f47275107dfd4512512b6021",
     "array": "60093f9f6c785a477f5c34eccdf5fb23fd6f5ad2f574dbfee0ddb5e9e00375a4",
@@ -567,6 +569,22 @@ GOLDEN = {
 @pytest.mark.parametrize("kernel", sorted(GOLDEN))
 def test_gap_kernels_and_density_match_golden_digest(kernel):
     assert _sha256(_golden_arrays(kernel)) == GOLDEN[kernel]
+
+
+@pytest.mark.parametrize("case", range(len(GAP_CASES)))
+def test_gap_kernels_take_one_step(case):
+    # every gap Euler kernel steps Y by the same rounding: the terminal kernel
+    # ends on the batch's last row, and each single path is the batch column
+    # drawn from the same stream
+    lam, y0, T, n_steps, n_paths = GAP_CASES[case]
+    seed = SeedSpec(20240601, case)
+    end = bangbang.euler_gap_terminal(lam, y0, T, n_steps, n_paths, seed.generator())
+    _, y, dw = bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, seed.generator())
+    assert end.tobytes() == y[-1].tobytes()
+    for start in np.broadcast_to(y0, (n_paths,))[:3]:
+        _, col, _ = bangbang.euler_gap_paths_batch(lam, start, T, n_steps, 1, seed.generator())
+        path = bangbang.euler_gap_path(lam, start, T, n_steps, seed)
+        assert path.y_values.tobytes() == col[:, 0].tobytes()
 
 
 def _sampler_arrays(kernel):

@@ -243,7 +243,8 @@ EXPORT_CASES = {
 # taken from the triple law (ks 0.021 -> 0.020); "sample" and "reverse-even"
 # reverse_report.csv re-pinned when the exact sampler's envelope became the
 # analytic peak of its ratio and its rejection rounds came to be sized from the
-# acceptance rate, with upper-tail proposals
+# acceptance rate, with upper-tail proposals; "simulate-custom" re-pinned when
+# the single path's 2x2 matmul gave way to the batch's two products and a sum
 EXPORT_GOLDEN = {
     "classify": {
         "classify.csv":
@@ -291,9 +292,9 @@ EXPORT_GOLDEN = {
     },
     "simulate-custom": {
         "path_000.csv":
-            "14b7f93b82e9819851820f2f8d90cd78dc1e0c869302062f5ee2a6064b392b49",
+            "954c8ca60e814aff590792f61cb7a3de9e1b78b0d9ca5327efb34e7e06d905bf",
         "path_001.csv":
-            "8f9ce989bf9bcf2356133259835e4bcffada16ddfdb45c7ac99ee1433bb071cd",
+            "0d88455dd1855788555a093cbcb6332d9e1d78c5f96b6837253d048d2a1d92f8",
     },
     "simulate-gap": {
         "gap_path_000.csv":

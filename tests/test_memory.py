@@ -3,7 +3,9 @@
 Each budget is the peak measured when the row blocks went in (Python 3.11,
 numpy 2.4), rounded up by about 12%.  The whole-array code they replaced
 peaked at 77 MB (Tanaka), 96 MB (Skorokhod), 58 MB (normalization) and
-28 MB (cell masses).  Never loosen a budget to make it pass.
+28 MB (cell masses); the local-time check peaked at 69.5 MB while its
+reversal rows kept the unread dW alive.  Never loosen a budget to make it
+pass.
 """
 
 import tracemalloc
@@ -47,6 +49,11 @@ def test_skorokhod_scan_peak_is_its_output(batch):
 def test_normalization_check_peak():
     _, peak = traced_peak(validation.check_normalization)
     assert peak < 16 * MB  # measured 13.8 MB
+
+
+def test_local_time_check_peak():
+    _, peak = traced_peak(lambda: validation.check_local_time(SeedSpec(20240601, 8)))
+    assert peak < 67 * MB  # measured 59.8 MB
 
 
 def test_expected_cell_masses_peak_on_twenty_bins():

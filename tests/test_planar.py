@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankdiff import bangbang, classifier, planar
 from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
@@ -323,12 +325,14 @@ def _golden_arrays(kernel, label):
 
 
 # sha256 of the float64 outputs, recorded before the kernels were rewritten
-# around the per-state step table; any change of a single bit shows here
+# around the per-state step table; any change of a single bit shows here.
+# "simulate-custom" and "increments-custom" were re-pinned when the single
+# path's dense 2x2 matmul gave way to the batch's two products and a sum
 GOLDEN = {
     "simulate-B": "e624176e8d1e5103d4931834c963d72f0807f0bf92e35f94e9534685cbeb3d34",
     "simulate-W": "be9fc9f5bc00b92d3b8880a71850fa82b7918958aa8dcc9c2d23e1717a23dc9c",
     "simulate-V": "ba9685aa17a002c1c2e204203f45dc67ba282c0e32964d0833f98425f585a46e",
-    "simulate-custom": "5195eb09ab7e63c2e9a944e292599054c2568835ba2e977db2ab5fe6457c73a3",
+    "simulate-custom": "8ee2733a91f07a417811c0796b2f80b7c512d695ffc19c0499f3c5003e17d826",
     "batch-B": "6fe99deddacb94fabf1b545765011a0bcf05a68988ceac27979ec03ac5dec93b",
     "batch-W": "f1ab41733dab10298a7f620b4f6b630fd6c277977264eec4a181960508fd0eba",
     "batch-V": "9de981777ac5edb4448f1d18daae90f30e28306f18af76f1e0ec2c7d56acc0a2",
@@ -336,7 +340,7 @@ GOLDEN = {
     "increments-B": "ae10e8468df64c9596fdf65389608bd43aa85e0e970124da69d5f31c06957f31",
     "increments-W": "297fe968ef82d837e42b6026f50b68cdbe5df308efe5db6621ed59534ddbd2cd",
     "increments-V": "ebb0442e8fd98036948846ada0a408b90ef141d8333e94bb88f68d603b1f960d",
-    "increments-custom": "52d63daac7e8d5d8cb5a9ecbc7870dc5c580080857db42742d198575213eb10d",
+    "increments-custom": "363aebef0e71da00849e97c661675b506ed706167440396ab467f1f245e39f99",
 }
 
 # recorded before the gap driver and the sum noise were read off the step
@@ -377,15 +381,37 @@ def test_batch_of_one_is_the_single_path_terminal_point(label, raw, s0):
     path = planar.euler_simulate(kind, p, s0, 0.9, 500, SeedSpec(61))
     x1, x2 = planar.euler_terminal_batch(kind, p, s0, 0.9, 500, 1, SeedSpec(61))
     end = np.array([path.x1_values[-1], path.x2_values[-1]])
-    got = np.concatenate([x1, x2])
-    if label == "custom":
-        # the single path keeps a 2x2 matmul per step, the batch two products
-        # and a sum: each step may round the position differently by about an
-        # ulp, and a terminal point near 0 makes ulp counts meaningless
-        scale = max(1.0, np.abs(path.x1_values).max(), np.abs(path.x2_values).max())
-        np.testing.assert_allclose(got, end, rtol=0, atol=500 * np.finfo(float).eps * scale)
-    else:
-        assert got.tobytes() == end.tobytes()
+    assert np.concatenate([x1, x2]).tobytes() == end.tobytes()
+
+
+_QUARTERS = st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])
+_RATE = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(eps=st.sampled_from([-1, 1]), dlt=st.sampled_from([-1, 1]),
+       phi=st.one_of(_QUARTERS, st.floats(-4.0, 4.0, allow_subnormal=False)),
+       vartheta=st.one_of(_QUARTERS, st.floats(-4.0, 4.0, allow_subnormal=False)),
+       vols=st.one_of(st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+                      st.floats(0.01, 1.56).map(lambda a: (math.cos(a), math.sin(a)))),
+       rates=st.tuples(_RATE, _RATE).filter(lambda gh: gh[0] + gh[1] > 0),
+       x1=_COORD, x2=_COORD, tied=st.booleans(), n_steps=st.integers(1, 80),
+       seed=st.integers(0, 2**32 - 1))
+# x2 = -0.0 stays a signed zero: a drift of -0.0 and the noise of a zero row
+@example(eps=1, dlt=-1, phi=0.3, vartheta=1.1, vols=(0.0, 1.0), rates=(1.0, 0.0),
+         x1=-0.0, x2=-0.0, tied=True, n_steps=1, seed=0)
+def test_batch_of_one_is_the_single_path_end_for_every_configuration(eps, dlt, phi, vartheta, vols, rates,
+                                                                      x1, x2, tied, n_steps, seed):
+    # one noise rule in both kernels, so every square root steps to the same bytes,
+    # at quarter turns, with rho or sigma = 0 (a coordinate with no noise), g or
+    # h = 0 (a -0.0 drift) and from tied or signed-zero starts
+    p = validate_params(*rates, *vols, renormalize=True)
+    kind = classifier.build_config(p, eps, dlt, phi, vartheta)
+    s0 = InitialState(x1, x1 if tied else x2)
+    path = planar.euler_simulate(kind, p, s0, 0.8, n_steps, SeedSpec(seed))
+    got = planar.euler_terminal_batch(kind, p, s0, 0.8, n_steps, 1, SeedSpec(seed))
+    assert np.concatenate(got).tobytes() == np.array([path.x1_values[-1], path.x2_values[-1]]).tobytes()
 
 
 _CONFIG_OF = {"B": classifier.config_system_b, "W": classifier.config_system_w,

@@ -168,7 +168,7 @@ def test_backward_steady_state_matches_forward_law():
     rng = SeedSpec(3).generator()
     y = rng.laplace(0.0, 1 / (2 * lam), n)
     for _ in range(steps // 2):
-        bangbang.gap_euler_step(y, lam, T / steps, rng)
+        bangbang.gap_euler_step(y, lam, T / steps, rng.standard_normal(n) * np.sqrt(T / steps))
     spec = timereversal.BackwardDriftSpec(P2, 0.0, T, mode="steady_state")
     y_term = SeedSpec(5).generator().laplace(0.0, 1 / (2 * lam), n)
     _, rec = timereversal.simulate_backward(spec, y_term, steps, SeedSpec(7), record_times=[T / 2])
