@@ -170,19 +170,23 @@ def euler_gap_paths_batch(lam: float, y0, T: float, n_steps: int, n_paths: int, 
 # local time estimators
 # ---------------------------------------------------------------------------
 
-def _signed_scan(y, dw, finish) -> np.ndarray:
+def _signed_scan(y, dw, finish, last=False) -> np.ndarray:
     """Running max along axis 0 of finish(rows, c), where c_k = sum_{j<k}
     sign(y_j) dw_j (c_0 = 0; dw None means the increments of y itself),
-    taken over row blocks of about BLOCK_CELLS cells.
+    taken over row blocks of about BLOCK_CELLS cells; only its last row if
+    `last`.
 
     Exact: cumsum along axis 0 adds each column in order, so adding the
     carried last row of c into the next block's first term gives the
-    whole-array sums, and max is exact in any order.
+    whole-array sums, and max is exact in any order.  The running max is
+    carried the same way, so the last row alone costs a block, not the array.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0] - 1
-    out = np.empty(y.shape)
-    out[0] = finish(slice(0, 1), np.zeros((1,) + y.shape[1:]))[0]
+    out = None if last else np.empty(y.shape)
+    peak = finish(slice(0, 1), np.zeros((1,) + y.shape[1:]))
+    if not last:
+        out[0] = peak[0]
     rows = max(1, BLOCK_CELLS // max(1, y[0].size))
     for i in range(0, n, rows):
         j = min(i + rows, n)
@@ -191,13 +195,14 @@ def _signed_scan(y, dw, finish) -> np.ndarray:
             c[0] += carry
         carry = np.cumsum(c, axis=0, out=c)[-1]
         v = finish(slice(i + 1, j + 1), c)
-        np.maximum(v[:1], out[i:i + 1], out=v[:1])
-        np.maximum.accumulate(v, axis=0, out=out[i + 1:j + 1])
-    return out
+        np.maximum(v[:1], peak, out=v[:1])
+        peak = np.maximum.accumulate(v, axis=0, out=v if last else out[i + 1:j + 1])[-1:]
+    return peak[0] if last else out
 
 
-def tanaka_residual_series(y_values: np.ndarray) -> np.ndarray:
-    """Local-time series from the pathwise residual of |Y|, along axis 0.
+def tanaka_residual_series(y_values: np.ndarray, last: bool = False) -> np.ndarray:
+    """Local-time series from the pathwise residual of |Y|, along axis 0;
+    only its last row, in a block's memory, if `last`.
 
     L(t_k) = (|Y_k| - |Y_0| - sum_{j<k} sign(Y_j) dY_j) / 2, clipped below at
     its running maximum.  y_values is one path (n_steps + 1,) or a batch
@@ -207,7 +212,7 @@ def tanaka_residual_series(y_values: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y_values, dtype=float)
     y0 = np.abs(y[0])
-    return _signed_scan(y, None, lambda rows, c: 0.5 * (np.abs(y[rows]) - y0 - c))
+    return _signed_scan(y, None, lambda rows, c: 0.5 * (np.abs(y[rows]) - y0 - c), last)
 
 
 tanaka_residual_matrix = tanaka_residual_series  # the batch name the benchmark calls
@@ -227,8 +232,10 @@ def occupation_local_time(path: YPath, eps: float) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(inside * dt)]) / (4.0 * eps)
 
 
-def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray, lam: float) -> np.ndarray:
-    """2*L(t) via the running-max reflection formula, along axis 0.
+def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray, lam: float,
+                                last: bool = False) -> np.ndarray:
+    """2*L(t) via the running-max reflection formula, along axis 0; only its
+    last row if `last`, as in tanaka_residual_series.
 
     y holds the gap path(s) on the grid `times` (shape (n_steps + 1,) or
     (n_steps + 1, n_paths)), dw their driving increments; the driver
@@ -236,7 +243,7 @@ def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray
     """
     grid = np.reshape(times, (-1,) + (1,) * (np.ndim(y) - 1))
     y0 = np.abs(y[0])
-    return _signed_scan(y, dw, lambda rows, c: np.maximum(-(y0 + c - lam * grid[rows]), 0.0))
+    return _signed_scan(y, dw, lambda rows, c: np.maximum(-(y0 + c - lam * grid[rows]), 0.0), last)
 
 
 # ---------------------------------------------------------------------------

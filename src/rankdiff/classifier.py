@@ -6,6 +6,9 @@ parametrized by two signs and two rotation angles.  A configuration yields a
 strongly solvable system unless its two half-plane diffusion vectors for the
 difference point in exactly opposite directions; that one condition is
 evaluated in three equivalent forms and the verdicts are required to agree.
+Each formula is written once, elementwise: build_config and strength are
+its one-configuration case, enumerate_diagonal_roots the 64-configuration
+case and the acceptance battery's sweep one array of 10,000.
 """
 
 from __future__ import annotations
@@ -25,40 +28,94 @@ IP_TOL = ANGLE_TOL = math.sqrt(2.0 * SCALAR_TOL)
 SQRT_RESIDUAL_TOL = 1e-10
 
 TWO_PI = 2.0 * math.pi
+_EYE = np.eye(2)
 
 
-def _wrap_angle(x: float) -> float:
-    """Reduce to (-pi, pi]."""
-    out = math.fmod(x, TWO_PI)
-    if out > math.pi:
-        out -= TWO_PI
-    elif out <= -math.pi:
-        out += TWO_PI
-    return out
+def _elementwise(array_fn, float_fn):
+    """One primitive: math on a float, numpy on arrays; the two round alike."""
+    return lambda x, *args: float_fn(x, *args) if isinstance(x, float) else array_fn(x, *args)
 
 
-# (cos, sin) at the quarter turns, exact, so blocks built there are signed
-# permutations with no trig residue
-_QUARTER_TURNS = {0.0: (1.0, 0.0), math.pi / 2: (0.0, 1.0), math.pi: (-1.0, 0.0),
-                  -math.pi / 2: (0.0, -1.0)}
+_fmod, _cos, _sin = (_elementwise(np.fmod, math.fmod), _elementwise(np.cos, math.cos),
+                     _elementwise(np.sin, math.sin))
+# np.arctan2 rounds differently from math.atan2, so arrays map the latter
+_atan2 = _elementwise(lambda y, x: np.asarray(np.frompyfunc(math.atan2, 2, 1)(y, x), dtype=float),
+                      math.atan2)
 
 
-def _cos_sin(angle: float):
-    return _QUARTER_TURNS.get(_wrap_angle(angle)) or (math.cos(angle), math.sin(angle))
+def _wrap_angle(x):
+    """Reduce to (-pi, pi], elementwise.  The offset subtracted is -2 pi,
+    2 pi or +0.0, so a zero keeps its sign."""
+    out = _fmod(x, TWO_PI)
+    return out - (TWO_PI * (out > math.pi) - TWO_PI * (out <= -math.pi))
 
 
-def unit_blocks(eps: int, dlt: int, phi: float, vartheta: float) -> np.ndarray:
-    """The per-state orthogonal unit blocks U[s] of a configuration, s = 0
-    (down, x1 <= x2) or 1 (up): a reflection sign times a rotation."""
-    cp, sp = _cos_sin(phi)
-    ct, st = _cos_sin(vartheta)
-    return np.array([[[ct, -st], [dlt * st, dlt * ct]], [[cp, -sp], [eps * sp, eps * cp]]])
+def _cos_sin(angle):
+    """(cos, sin), elementwise, with the exact 0 and +-1 at the quarter turns,
+    so blocks built there are signed permutations with no trig residue."""
+    turn = _wrap_angle(angle)
+    q0, q1, q2, q3 = turn == 0.0, turn == math.pi / 2, turn == math.pi, turn == -math.pi / 2
+    other = 1.0 - (q0 | q1 | q2 | q3)
+    return _cos(angle) * other + (1.0 * q0 - 1.0 * q2), _sin(angle) * other + (1.0 * q1 - 1.0 * q3)
 
 
-def volatilities(rho: float, sigma: float) -> np.ndarray:
-    """vol[s, i], the volatility of X_{i+1} in state s: (sigma, rho) down and
-    (rho, sigma) up.  The square root in state s is vol[s, :, None] * U[s]."""
-    return np.array([[sigma, rho], [rho, sigma]])
+def _last(a, k):
+    """a with its first k axes moved last, C-contiguous."""
+    return a if a.ndim == k else np.ascontiguousarray(a.transpose(*range(k, a.ndim), *range(k)))
+
+
+def unit_blocks(eps, dlt, phi, vartheta) -> np.ndarray:
+    """The per-state orthogonal unit blocks U[..., s] of configurations, s = 0
+    (down, x1 <= x2) or 1 (up): a reflection sign times a rotation.  The
+    arguments are scalars or arrays of one shape, the leading axes."""
+    (cp, sp), (ct, st) = _cos_sin(phi), _cos_sin(vartheta)
+    return _last(np.array([[[ct, -st], [dlt * st, dlt * ct]], [[cp, -sp], [eps * sp, eps * cp]]]), 3)
+
+
+def volatilities(rho, sigma) -> np.ndarray:
+    """vol[..., s, i], the volatility of X_{i+1} in state s: (sigma, rho) down
+    and (rho, sigma) up.  The square root in state s is vol[..., s, :, None]
+    * U[..., s]."""
+    return _last(np.array([[sigma, rho], [rho, sigma]], dtype=float), 2)
+
+
+def _roots(rho, sigma, eps, dlt, unit):
+    """(vol, m, psi), elementwise: m[..., s] = vol[..., s, :, None] U[..., s]
+    and psi in (-pi, pi] with cos psi = rho sigma (1 + eps delta), sin psi =
+    sigma^2 eps - rho^2 delta."""
+    vol = volatilities(rho, sigma)
+    psi = _atan2(sigma**2 * eps - rho**2 * dlt, rho * sigma * (1 + eps * dlt))
+    return vol, vol[..., None] * unit, psi
+
+
+def square_roots(rho, sigma, eps, dlt, phi, vartheta):
+    """Square-root configurations, elementwise over scalars or arrays of one
+    shape: (phi, vartheta, U, m, psi), angles reduced to (-pi, pi].  Raises
+    if any m[s] m[s]' misses diag(vol[s]^2) by more than SQRT_RESIDUAL_TOL."""
+    phi, vartheta = _wrap_angle(phi), _wrap_angle(vartheta)
+    unit = unit_blocks(eps, dlt, phi, vartheta)
+    vol, m, psi = _roots(rho, sigma, eps, dlt, unit)
+    res = abs(np.matmul(m, m.swapaxes(-1, -2)) - np.square(vol)[..., None] * _EYE).max()
+    if res > SQRT_RESIDUAL_TOL:
+        raise RuntimeError(f"square-root residual {res:.3e} exceeds {SQRT_RESIDUAL_TOL}")
+    return phi, vartheta, unit, m, psi
+
+
+def criteria(rho, sigma, eps, dlt, phi, vartheta, psi, sigma_minus, sigma_plus):
+    """The strength condition in its three forms, elementwise: (ip_sum_norm,
+    weak_scalar, geom_defect, weak), weak the three "not strong" verdicts."""
+    v = (sigma_plus[..., 0, :] - sigma_plus[..., 1, :]) + (sigma_minus[..., 0, :] - sigma_minus[..., 1, :])
+    ip_sum_norm = np.sqrt(np.vecdot(v, v))  # np.linalg.norm's bits, per row
+    dang = vartheta - phi
+    weak_scalar = (sigma**2 * eps - rho**2 * dlt) * _sin(dang) + rho * sigma * (1 + eps * dlt) * _cos(dang)
+    geom_defect = abs(_wrap_angle(math.pi + vartheta - phi - psi))
+    weak = (ip_sum_norm <= IP_TOL, abs(weak_scalar + 1.0) <= SCALAR_TOL, geom_defect <= ANGLE_TOL)
+    return ip_sum_norm, weak_scalar, geom_defect, weak
+
+
+def _check_signs(eps, dlt):
+    if eps not in (-1, 1) or dlt not in (-1, 1):
+        raise ParameterError("root signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -84,33 +141,26 @@ class SqrtConfig:
 
     def __post_init__(self):
         eps, dlt = self.root_sign_plus, self.root_sign_minus
-        if eps not in (-1, 1) or dlt not in (-1, 1):
-            raise ParameterError("root signs must be +1 or -1")
-        rho, sg = self.rho, self.sigma
+        _check_signs(eps, dlt)
         unit = unit_blocks(eps, dlt, self.phi, self.vartheta)
-        s_minus, s_plus = volatilities(rho, sg)[..., None] * unit
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "sigma_plus", s_plus)
-        object.__setattr__(self, "sigma_minus", s_minus)
-        # psi in (-pi, pi] with cos psi = rho sigma (1 + eps delta),
-        # sin psi = sigma^2 eps - rho^2 delta
-        psi = math.atan2(sg**2 * eps - rho**2 * dlt, rho * sg * (1 + eps * dlt))
-        object.__setattr__(self, "psi", psi)
+        _, m, psi = _roots(self.rho, self.sigma, eps, dlt, unit)
+        vars(self).update(unit=unit, sigma_minus=m[0], sigma_plus=m[1], psi=float(psi))  # frozen
+
+
+def _config(rho, sigma, eps, dlt, phi, vartheta, unit, m, psi) -> SqrtConfig:
+    """The configuration with blocks already derived (square_roots)."""
+    cfg = object.__new__(SqrtConfig)
+    vars(cfg).update(rho=rho, sigma=sigma, root_sign_plus=eps, root_sign_minus=dlt, phi=phi,
+                     vartheta=vartheta, unit=unit, sigma_minus=m[0], sigma_plus=m[1], psi=psi)
+    return cfg
 
 
 def build_config(p: ModelParams, eps: int, root_sign_minus: int, phi: float, vartheta: float) -> SqrtConfig:
     """Materialize a configuration and verify the square-root property."""
-    cfg = SqrtConfig(p.rho, p.sigma, int(eps), int(root_sign_minus),
-                     _wrap_angle(float(phi)), _wrap_angle(float(vartheta)))
-    a_plus = np.diag([p.rho**2, p.sigma**2])
-    a_minus = np.diag([p.sigma**2, p.rho**2])
-    res = max(
-        np.abs(cfg.sigma_plus @ cfg.sigma_plus.T - a_plus).max(),
-        np.abs(cfg.sigma_minus @ cfg.sigma_minus.T - a_minus).max(),
-    )
-    if res > SQRT_RESIDUAL_TOL:
-        raise RuntimeError(f"square-root residual {res:.3e} exceeds {SQRT_RESIDUAL_TOL}")
-    return cfg
+    eps, dlt = int(eps), int(root_sign_minus)
+    _check_signs(eps, dlt)
+    phi, vartheta, unit, m, psi = square_roots(p.rho, p.sigma, eps, dlt, float(phi), float(vartheta))
+    return _config(p.rho, p.sigma, eps, dlt, float(phi), float(vartheta), unit, m, float(psi))
 
 
 @dataclass(frozen=True)
@@ -124,50 +174,27 @@ class StrengthVerdict:
     geom_defect: float      # wrapped angle defect, radians
 
 
-def strength(cfg: SqrtConfig) -> StrengthVerdict:
-    """Classify a configuration; raises if the three criteria disagree."""
-    d = np.array([1.0, -1.0])
-    s_plus = d @ cfg.sigma_plus
-    s_minus = d @ cfg.sigma_minus
-    ip_sum_norm = float(np.linalg.norm(s_plus + s_minus))
-    eps, dlt = cfg.root_sign_plus, cfg.root_sign_minus
-    rho, sg = cfg.rho, cfg.sigma
-    dang = cfg.vartheta - cfg.phi
-    weak_scalar = (sg**2 * eps - rho**2 * dlt) * math.sin(dang) + rho * sg * (1 + eps * dlt) * math.cos(dang)
-    geom_defect = abs(_wrap_angle(math.pi + cfg.vartheta - cfg.phi - cfg.psi))
-    weak_by_ip = ip_sum_norm <= IP_TOL
-    weak_by_scalar = abs(weak_scalar + 1.0) <= SCALAR_TOL
-    weak_by_geom = geom_defect <= ANGLE_TOL
-    if not (weak_by_ip == weak_by_scalar == weak_by_geom):
+def _verdict(ip_sum_norm, weak_scalar, geom_defect, weak) -> StrengthVerdict:
+    by_ip, by_scalar, by_geom = weak
+    if not (by_ip == by_scalar == by_geom):
         raise RuntimeError(
             "strength criteria disagree: "
             f"ip={ip_sum_norm:.3e} scalar={weak_scalar + 1.0:.3e} geom={geom_defect:.3e}"
         )
-    return StrengthVerdict(
-        strong=not weak_by_ip,
-        ip_sum_norm=ip_sum_norm,
-        weak_scalar=weak_scalar,
-        geom_holds=weak_by_geom,
-        geom_defect=geom_defect,
-    )
+    return StrengthVerdict(strong=not by_ip, ip_sum_norm=float(ip_sum_norm), weak_scalar=float(weak_scalar),
+                           geom_holds=bool(by_geom), geom_defect=float(geom_defect))
+
+
+def strength(cfg: SqrtConfig) -> StrengthVerdict:
+    """Classify a configuration; raises if the three criteria disagree."""
+    return _verdict(*criteria(cfg.rho, cfg.sigma, cfg.root_sign_plus, cfg.root_sign_minus, cfg.phi,
+                              cfg.vartheta, cfg.psi, cfg.sigma_minus, cfg.sigma_plus))
 
 
 # the three systems discussed in the text, as (eps, delta, phi, vartheta):
 # the name-noise system B and the intertwined systems W and V.  This table is
 # their only definition; planar reads its Euler steps and noises from it.
 SYSTEMS = {"B": (1, 1, 0.0, 0.0), "W": (-1, 1, 0.0, -math.pi / 2), "V": (1, -1, 0.0, -math.pi / 2)}
-
-
-def config_system_b(p: ModelParams) -> SqrtConfig:
-    return build_config(p, *SYSTEMS["B"])
-
-
-def config_system_w(p: ModelParams) -> SqrtConfig:
-    return build_config(p, *SYSTEMS["W"])
-
-
-def config_system_v(p: ModelParams) -> SqrtConfig:
-    return build_config(p, *SYSTEMS["V"])
 
 
 # (sign, angle) of the 8 diagonal and antidiagonal sign patterns of a block,
@@ -184,11 +211,14 @@ def enumerate_diagonal_roots(p: ModelParams):
     Returns (configs, verdicts, strong_count).  The count is 48 in the
     isotropic and degenerate cases and 56 otherwise.
     """
-    configs, verdicts = [], []
-    for eps, phi in _AXIS_CONFIGS:
-        for dlt, theta in _AXIS_CONFIGS:
-            cfg = build_config(p, eps, dlt, phi, theta)
-            configs.append(cfg)
-            verdicts.append(strength(cfg))
+    signs, angles = np.array(_AXIS_CONFIGS).T
+    eps, dlt = np.repeat(signs, 8).astype(int), np.tile(signs, 8).astype(int)
+    phi, theta, unit, m, psi = square_roots(p.rho, p.sigma, eps, dlt, np.repeat(angles, 8), np.tile(angles, 8))
+    ip_sum_norm, weak_scalar, geom_defect, weak = criteria(p.rho, p.sigma, eps, dlt, phi, theta, psi,
+                                                           m[:, 0], m[:, 1])
+    configs = [_config(p.rho, p.sigma, int(eps[k]), int(dlt[k]), float(phi[k]), float(theta[k]), unit[k], m[k],
+                       float(psi[k])) for k in range(64)]
+    verdicts = [_verdict(ip_sum_norm[k], weak_scalar[k], geom_defect[k], [w[k] for w in weak])
+                for k in range(64)]
     strong_count = sum(v.strong for v in verdicts)
     return configs, verdicts, strong_count

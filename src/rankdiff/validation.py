@@ -24,7 +24,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
-from .core import BLOCK_CELLS, InitialState, ModelParams, SeedSpec, validate_params
+from .core import (BLOCK_CELLS, NORMALIZATION_TOL, InitialState, ModelParams, ParameterError,
+                   SeedSpec, validate_params)
 from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, grid_values,
                       ks_statistic, ks_two_sample, pmap_batches)
 
@@ -88,6 +89,15 @@ def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
 # criterion 1 and 2: classifier
 # ---------------------------------------------------------------------------
 
+def _sweep_configs(rng, n: int):
+    """(u, eps, delta, phi, vartheta) of n random configurations, drawn as
+    numpy's uniform(low, high) draws them, one configuration after another."""
+    low = np.array([0.02, 0.0, 0.0, 0.0, 0.0])
+    high = np.array([math.pi / 2 - 0.02, 1.0, 1.0, 2 * math.pi, 2 * math.pi])
+    u, e, d, phi, vartheta = (low + (high - low) * rng.random((n, 5))).T
+    return u, np.where(e < 0.5, 1, -1), np.where(d < 0.5, 1, -1), phi, vartheta
+
+
 def check_classifier(seed: SeedSpec, n_sweep: int = 10_000) -> List:
     reports = []
     cases = [
@@ -102,20 +112,17 @@ def check_classifier(seed: SeedSpec, n_sweep: int = 10_000) -> List:
         reports.append(_report("count", f"classifier/total-roots/{name}", abs(len(cfgs) - 64), 0, 64))
         reports.append(_report("count", f"classifier/strong-count/{name}", abs(strong - expected), 0, 64,
                                note=f"strong={strong} expected={expected}"))
-    rng = seed.stream(0).generator()
-    disagreements = 0
-    weak = 0
-    for _ in range(n_sweep):
-        u = rng.uniform(0.02, math.pi / 2 - 0.02)
-        p = validate_params(1.0, 1.0, math.cos(u), math.sin(u), renormalize=True)
-        cfg = classifier.build_config(
-            p, 1 if rng.random() < 0.5 else -1, 1 if rng.random() < 0.5 else -1,
-            rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-        try:
-            v = classifier.strength(cfg)
-            weak += not v.strong
-        except RuntimeError:
-            disagreements += 1
+    u, eps, dlt, phi, vartheta = _sweep_configs(seed.stream(0).generator(), n_sweep)
+    rho, sigma = np.cos(u), np.sin(u)
+    norm = np.sqrt(rho**2 + sigma**2)  # validate_params(renormalize=True), per config
+    rho, sigma = rho / norm, sigma / norm
+    if not np.all(np.abs(rho**2 + sigma**2 - 1.0) <= NORMALIZATION_TOL):
+        raise ParameterError("normalization rho^2+sigma^2=1 violated")
+    phi, vartheta, _, m, psi = classifier.square_roots(rho, sigma, eps, dlt, phi, vartheta)
+    by_ip, by_scalar, by_geom = classifier.criteria(rho, sigma, eps, dlt, phi, vartheta, psi,
+                                                    m[:, 0], m[:, 1])[3]
+    agree = (by_ip == by_scalar) & (by_scalar == by_geom)
+    disagreements, weak = int(n_sweep - agree.sum()), int((agree & by_ip).sum())
     reports.append(_report("count", "classifier/criteria-agreement", disagreements, 0, n_sweep))
     reports.append(_report("sup", "classifier/weak-fraction", weak / n_sweep, 0.01, n_sweep,
                            note="codimension-one condition; random configs are almost surely strong"))
@@ -198,22 +205,21 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
 # criterion 4: Chapman-Kolmogorov
 # ---------------------------------------------------------------------------
 
+def _ck_convolutions(p: ModelParams, t: float, y: float):
+    """(int f(0.4 t, y, u) f(0.6 t, u, xi) du, f(t, y, xi)) at the seven xi,
+    f = transition_density, on one quadrature grid: each convolution is a
+    row sum of a C-contiguous (7, n) array, added in the 1-D sum's order."""
+    hw = abs(y) + p.lam * t + 12 * math.sqrt(t) + 2
+    pts, wts = gl_points(-hw, hw, 24, cuts=[0.0])
+    xi = np.array([-3.0, -1.0, -0.2, 0.0, 0.4, 1.5, 3.0]) * math.sqrt(t)
+    vals = bangbang.transition_density(p, 0.4 * t, y, pts) * bangbang.transition_density(
+        p, 0.6 * t, pts, xi[:, None]) * wts
+    return vals.sum(axis=1), bangbang.transition_density(p, t, y, xi)
+
+
 def check_chapman_kolmogorov(tol: float = 1e-6) -> List:
-    worst = 0.0
-    for lam in _LAM_GRID:
-        p = _params_for_lam(lam)
-        for t in _T_GRID:
-            t1, t2 = 0.4 * t, 0.6 * t
-            for y in _Y_GRID:
-                hw = abs(y) + lam * t + 12 * math.sqrt(t) + 2
-                scale = math.sqrt(t)
-                for xi in (-3 * scale, -scale, -0.2 * scale, 0.0, 0.4 * scale, 1.5 * scale, 3 * scale):
-                    def integrand(u):
-                        return (bangbang.transition_density(p, t1, y, u)
-                                * bangbang.transition_density(p, t2, u, xi))
-                    conv = _integrate_kinked(integrand, -hw, hw, kinks=[0.0], n_panels=24)
-                    direct = bangbang.transition_density(p, t, y, xi)
-                    worst = max(worst, abs(conv - direct))
+    cases = [(_params_for_lam(lam), t, y) for lam in _LAM_GRID for t in _T_GRID for y in _Y_GRID]
+    worst = max(float(np.abs(np.subtract(*_ck_convolutions(*case))).max()) for case in cases)
     return [_report("sup", "chapman-kolmogorov/pointwise", worst, tol, 252)]
 
 
@@ -364,14 +370,15 @@ def _localtime_gap_rms(seed: SeedSpec, dt: float, n_paths: int, which: str,
                        lam: float = 2.0, y0: float = 0.3, T: float = 1.0) -> float:
     n_steps = int(round(T / dt))
     times, y, dw = bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, seed.generator())
-    if which == "skorokhod":  # the Tanaka matrix is freed before the reflection is built
-        gap = (2.0 * bangbang.tanaka_residual_matrix(y)[-1]
-               - bangbang.skorokhod_local_time_series(y, dw, times, lam)[-1])
-    elif which == "reversal":  # row k of el_rev - (el[-1] - el[::-1]); the scan is causal
-        del dw  # not read here: freed before the Tanaka matrices are built
+    if which == "skorokhod":  # the last rows only
+        gap = (2.0 * bangbang.tanaka_residual_matrix(y, last=True)
+               - bangbang.skorokhod_local_time_series(y, dw, times, lam, last=True))
+    elif which == "reversal":  # row k of el_rev - (el[-1] - el[::-1]); the scans are causal
+        del dw  # not read here
         k = n_steps // 2
-        el = bangbang.tanaka_residual_matrix(y)
-        gap = bangbang.tanaka_residual_matrix(y[::-1][:k + 1])[k] - (el[-1] - el[n_steps - k])
+        gap = (bangbang.tanaka_residual_matrix(y[::-1][:k + 1], last=True)
+               - (bangbang.tanaka_residual_matrix(y, last=True)
+                  - bangbang.tanaka_residual_matrix(y[:n_steps - k + 1], last=True)))
     else:
         raise ValueError(which)
     return float(np.sqrt(np.mean(gap**2)))
@@ -383,7 +390,7 @@ def check_local_time(seed: SeedSpec, n_paths: int = 256) -> List:
     eps = dt**0.4
     y = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)), max(n_paths, 8),
                                        seed.stream(0).generator())[1]
-    el = bangbang.tanaka_residual_matrix(y)[-1]
+    el = bangbang.tanaka_residual_matrix(y, last=True)
     n, rows = len(y) - 1, max(1, BLOCK_CELLS // y.shape[1])  # occupation counted per row block
     inside = sum((np.abs(y[i:min(i + rows, n)]) < eps).sum(axis=0) for i in range(0, n, rows))
     rel = np.abs(inside * dt / (4.0 * eps) - el) / el

@@ -62,7 +62,7 @@ def _timed(fn, *args, **kwargs):
 def test_criterion_1_and_2_classifier_counts_and_agreement():
     reports = _timed(check_classifier, SEED.stream(1000), n_sweep=10_000)
     counts = [r for r in reports if r.kind == "count"]
-    _run("criterion-1/2 classifier", 6.0, reports)
+    _run("criterion-1/2 classifier", 0.5, reports)  # measured 0.02-0.03 s
     # exact integer matches for 64/48/48/48/56
     assert all(r.statistic == 0 for r in counts)
 
@@ -72,7 +72,7 @@ def test_criterion_3_density_normalization():
 
 
 def test_criterion_4_chapman_kolmogorov():
-    _run("criterion-4 chapman-kolmogorov", 60.0, _timed(check_chapman_kolmogorov))
+    _run("criterion-4 chapman-kolmogorov", 1.0, _timed(check_chapman_kolmogorov))  # measured 0.05-0.06 s
 
 
 def test_criterion_5_sampler_against_densities():

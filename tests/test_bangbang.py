@@ -651,10 +651,13 @@ def assert_same_bytes(got, want):
 
 
 def assert_scans_exact(y, dw, times, lam=1.5):
-    assert_same_bytes(bangbang.tanaka_residual_series(y), tanaka_whole(y))
-    assert_same_bytes(bangbang.tanaka_residual_matrix(y), tanaka_whole(y))
-    assert_same_bytes(bangbang.skorokhod_local_time_series(y, dw, times, lam),
-                      skorokhod_whole(y, dw, times, lam))
+    tanaka, skorokhod = tanaka_whole(y), skorokhod_whole(y, dw, times, lam)
+    assert_same_bytes(bangbang.tanaka_residual_series(y), tanaka)
+    assert_same_bytes(bangbang.tanaka_residual_matrix(y), tanaka)
+    assert_same_bytes(bangbang.skorokhod_local_time_series(y, dw, times, lam), skorokhod)
+    # the last row alone
+    assert_same_bytes(bangbang.tanaka_residual_series(y, last=True), tanaka[-1])
+    assert_same_bytes(bangbang.skorokhod_local_time_series(y, dw, times, lam, last=True), skorokhod[-1])
 
 
 def lattice_batch(n_rows, n_cols, seed):

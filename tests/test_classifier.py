@@ -19,30 +19,34 @@ def params(rho, sigma):
     return validate_params(1.0, 1.0, rho, sigma, renormalize=True)
 
 
+def system(p, name):
+    return classifier.build_config(p, *classifier.SYSTEMS[name])
+
+
 def test_named_example_matrices():
     p = params(0.8, 0.6)
-    b = classifier.config_system_b(p)
+    b = system(p, "B")
     np.testing.assert_allclose(b.sigma_plus, np.diag([0.8, 0.6]), atol=1e-15)
     np.testing.assert_allclose(b.sigma_minus, np.diag([0.6, 0.8]), atol=1e-15)
-    w = classifier.config_system_w(p)
+    w = system(p, "W")
     np.testing.assert_allclose(w.sigma_plus, [[0.8, 0.0], [0.0, -0.6]], atol=1e-15)
     np.testing.assert_allclose(w.sigma_minus, [[0.0, 0.6], [-0.8, 0.0]], atol=1e-15)
-    v = classifier.config_system_v(p)
+    v = system(p, "V")
     np.testing.assert_allclose(v.sigma_plus, np.diag([0.8, 0.6]), atol=1e-15)
     np.testing.assert_allclose(v.sigma_minus, [[0.0, 0.6], [0.8, 0.0]], atol=1e-15)
 
 
 def test_quarter_turns_give_exact_signed_permutations():
     p = params(0.8, 0.6)
-    np.testing.assert_array_equal(classifier.config_system_w(p).sigma_minus, [[0.0, 0.6], [-0.8, 0.0]])
-    np.testing.assert_array_equal(classifier.config_system_v(p).sigma_minus, [[0.0, 0.6], [0.8, 0.0]])
+    np.testing.assert_array_equal(system(p, "W").sigma_minus, [[0.0, 0.6], [-0.8, 0.0]])
+    np.testing.assert_array_equal(system(p, "V").sigma_minus, [[0.0, 0.6], [0.8, 0.0]])
     cfgs, _, _ = classifier.enumerate_diagonal_roots(p)
     for cfg in cfgs:
         assert set(np.abs(cfg.unit).ravel()) == {0.0, 1.0}
         assert np.all(np.count_nonzero(cfg.unit, axis=-1) == 1)
     # 3 pi / 2 and -pi / 2 are the same quarter turn
     a = classifier.build_config(p, 1, -1, 2 * math.pi, 3 * math.pi / 2)
-    np.testing.assert_array_equal(a.unit, classifier.config_system_v(p).unit)
+    np.testing.assert_array_equal(a.unit, system(p, "V").unit)
 
 
 def test_other_angles_keep_the_plain_trig_blocks():
@@ -64,9 +68,9 @@ def test_other_angles_keep_the_plain_trig_blocks():
 @pytest.mark.parametrize("rho,sigma", RHO_SIGMA_CASES)
 def test_named_example_verdicts(rho, sigma):
     p = params(rho, sigma)
-    assert classifier.strength(classifier.config_system_b(p)).strong
-    assert classifier.strength(classifier.config_system_w(p)).strong
-    assert not classifier.strength(classifier.config_system_v(p)).strong
+    assert classifier.strength(system(p, "B")).strong
+    assert classifier.strength(system(p, "W")).strong
+    assert not classifier.strength(system(p, "V")).strong
 
 
 @pytest.mark.parametrize("rho,sigma", RHO_SIGMA_CASES)
@@ -170,11 +174,11 @@ def test_criteria_agree_near_the_weak_set():
 
 def test_verdict_fields_consistent():
     p = params(0.8, 0.6)
-    v = classifier.strength(classifier.config_system_v(p))
+    v = classifier.strength(system(p, "V"))
     assert v.ip_sum_norm <= classifier.IP_TOL
     assert abs(v.weak_scalar + 1.0) <= classifier.SCALAR_TOL
     assert v.geom_holds and v.geom_defect <= classifier.ANGLE_TOL
-    s = classifier.strength(classifier.config_system_b(p))
+    s = classifier.strength(system(p, "B"))
     assert s.ip_sum_norm > classifier.IP_TOL and not s.geom_holds
 
 

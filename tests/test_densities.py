@@ -159,11 +159,21 @@ def test_atom_mass_matches_no_local_time_frequency():
     x1 = np.full(n, s0.x1)
     x2 = np.full(n, s0.x2)
     never = np.ones(n, dtype=bool)
-    for _ in range(steps):
-        up = x1 > x2
+    up, down, z, step = np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.empty(n), np.empty(n)
+    for _ in range(steps):  # in place, no allocation per step
+        np.greater(x1, x2, out=up)
+        np.logical_not(up, out=down)
         never &= up
-        x1 += np.where(up, -p.h, p.g) * dt + np.where(up, 1.0, 0.0) * rng.standard_normal(n) * math.sqrt(dt)
-        x2 += np.where(up, p.g, -p.h) * dt + np.where(up, 0.0, 1.0) * rng.standard_normal(n) * math.sqrt(dt)
+        # x += where(up, on_up, on_down) * dt + moves * z * sqrt(dt), z the next n normals,
+        # with the same roundings, in buffers
+        for x, moves, on_up, on_down in ((x1, up, -p.h, p.g), (x2, down, p.g, -p.h)):
+            np.copyto(step, on_down * dt)
+            np.copyto(step, on_up * dt, where=up)
+            rng.standard_normal(out=z)
+            np.multiply(z, moves, out=z)
+            z *= math.sqrt(dt)
+            step += z
+            x += step
     lo, hi = 1.4, 1.9
     emp = np.mean(never & (x1 > lo) & (x1 <= hi))
     th = quad(lambda u: densities.atom_line_density(p, s0, t, u), lo, hi)[0]

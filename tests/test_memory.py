@@ -4,8 +4,10 @@ Each budget is the peak measured when the row blocks went in (Python 3.11,
 numpy 2.4), rounded up by about 12%.  The whole-array code they replaced
 peaked at 77 MB (Tanaka), 96 MB (Skorokhod), 58 MB (normalization) and
 28 MB (cell masses); the local-time check peaked at 69.5 MB while its
-reversal rows kept the unread dW alive.  Never loosen a budget to make it
-pass.
+reversal rows kept the unread dW alive, and at 59.8 MB while its scans built
+whole matrices to read one or two rows.  The classifier sweep and the
+Chapman-Kolmogorov quadrature run as arrays; their budgets guard those
+arrays.  Never loosen a budget to make it pass.
 """
 
 import tracemalloc
@@ -53,7 +55,17 @@ def test_normalization_check_peak():
 
 def test_local_time_check_peak():
     _, peak = traced_peak(lambda: validation.check_local_time(SeedSpec(20240601, 8)))
-    assert peak < 67 * MB  # measured 59.8 MB
+    assert peak < 46 * MB  # measured 41.0 MB
+
+
+def test_classifier_check_peak():
+    _, peak = traced_peak(lambda: validation.check_classifier(SeedSpec(20240601).stream(1000)))
+    assert peak < 5 * MB  # measured 4.46 MB for the 10,000-config sweep
+
+
+def test_chapman_kolmogorov_check_peak():
+    _, peak = traced_peak(validation.check_chapman_kolmogorov)
+    assert peak < 0.5 * MB  # measured 0.45 MB
 
 
 def test_expected_cell_masses_peak_on_twenty_bins():

@@ -414,10 +414,6 @@ def test_batch_of_one_is_the_single_path_end_for_every_configuration(eps, dlt, p
     assert np.concatenate(got).tobytes() == np.array([path.x1_values[-1], path.x2_values[-1]]).tobytes()
 
 
-_CONFIG_OF = {"B": classifier.config_system_b, "W": classifier.config_system_w,
-              "V": classifier.config_system_v}
-
-
 @pytest.mark.parametrize("label", ALL_KINDS)
 @pytest.mark.parametrize("kernel", ["simulate", "batch"])
 def test_named_config_drives_the_named_system_bytes(kernel, label):
@@ -427,7 +423,7 @@ def test_named_config_drives_the_named_system_bytes(kernel, label):
         p = validate_params(*raw)
         for j, s0 in enumerate(GOLDEN_STARTS):
             runs = []
-            for kind in (label, _CONFIG_OF[label](p)):
+            for kind in (label, classifier.build_config(p, *classifier.SYSTEMS[label])):
                 if kernel == "simulate":
                     path = planar.euler_simulate(kind, p, s0, 1.0, 300, SeedSpec(67, j))
                     runs.append(np.concatenate([path.x1_values, path.x2_values]).tobytes())
