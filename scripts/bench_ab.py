@@ -9,9 +9,15 @@ first when k is even and second when k is odd.  --out holds every run of
 both sides and is rewritten after each run, so an interrupted series is
 resumed by running the same command again.  The summary printed and stored
 under "summary" gives, per end-to-end metric, both medians and quartiles,
-the parent's IQR, the wins (pairs in which the change reads better), and
+the parent's IQR, the wins (pairs in which the change reads better),
 gain_rule_met: at least nine wins in ten and a median gap wider than the
-parent's IQR, in the better direction.
+parent's IQR, in the better direction, and the no-regression verdict:
+within_bound, the change's median worse than the parent's by at most the
+metric's `bound` from BENCHMARK.json (a fraction of the parent's median;
+failed_ops_frac has none and may not grow at all), and unresolved, the
+parent's IQR wider than that bound, so that the pairs cannot tell a
+regression from the machine's spread, unless every change run beats every
+parent run.
 """
 
 import argparse
@@ -34,24 +40,30 @@ def run_once(checkout, workload, seed, seconds):
     return rec
 
 
-def summarise(runs, better):
+def summarise(runs, spec):
+    """Per metric of spec, {name: (better, bound)}, the medians, quartiles,
+    wins and the gain and no-regression verdicts of the first complete pairs."""
     n = min(len(runs["parent"]), len(runs["change"]))
     out = {"pairs": n, "metrics": {}}
-    for m in better:
+    for m, (better, bound) in spec.items():
         pv = [r[m] for r in runs["parent"][:n]]
         cv = [r[m] for r in runs["change"][:n]]
-        sign = 1 if better[m] == "lower" else -1
+        sign = 1 if better == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(pv, cv))
         losses = sum(sign * (c - p) > 0 for p, c in zip(pv, cv))
         pq = statistics.quantiles(pv, n=4, method="inclusive")
         cq = statistics.quantiles(cv, n=4, method="inclusive")
         p_med, c_med = statistics.median(pv), statistics.median(cv)
+        slack = 0.0 if bound is None else bound * abs(p_med)
+        beats_all = max(sign * c for c in cv) < min(sign * p for p in pv)  # the worst change run wins
         out["metrics"][m] = {
-            "better": better[m], "parent_median": p_med, "parent_q1": pq[0], "parent_q3": pq[2],
+            "better": better, "bound": bound, "parent_median": p_med, "parent_q1": pq[0], "parent_q3": pq[2],
             "parent_iqr": pq[2] - pq[0], "change_median": c_med, "change_q1": cq[0],
             "change_q3": cq[2], "change_vs_parent": c_med / p_med - 1 if p_med else 0.0,
             "wins": wins, "losses": losses, "ties": n - wins - losses,
-            "gain_rule_met": wins >= 0.9 * n and sign * (c_med - p_med) < -(pq[2] - pq[0])}
+            "gain_rule_met": wins >= 0.9 * n and sign * (c_med - p_med) < -(pq[2] - pq[0]),
+            "within_bound": sign * (c_med - p_med) <= slack,
+            "unresolved": bound is not None and pq[2] - pq[0] > slack and not beats_all}
     return out
 
 
@@ -66,8 +78,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     with open(os.path.join(HERE, os.pardir, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    better["failed_ops_frac"] = "lower"
+        spec = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+    spec["failed_ops_frac"] = ("lower", None)
     runs = {"parent": [], "change": []}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -81,14 +93,15 @@ def main(argv=None):
             runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
             record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                       "runs": runs,
-                      "summary": summarise(runs, better) if min(map(len, runs.values())) > 1 else None}
+                      "summary": summarise(runs, spec) if min(map(len, runs.values())) > 1 else None}
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1)
             print(args.workload, side, json.dumps(runs[side][-1]), flush=True)
-    for m, v in summarise(runs, better)["metrics"].items():
+    for m, v in summarise(runs, spec)["metrics"].items():
         print(f"{m:16s} parent {v['parent_median']:.4g} (IQR {v['parent_iqr']:.3g})  "
               f"change {v['change_median']:.4g}  {100 * v['change_vs_parent']:+.1f}%  "
-              f"wins {v['wins']}/{args.pairs}  rule met: {v['gain_rule_met']}")
+              f"wins {v['wins']}/{args.pairs}  rule met: {v['gain_rule_met']}  "
+              f"within_bound: {v['within_bound']}" + ("  unresolved" if v["unresolved"] else ""))
     return 0
 
 

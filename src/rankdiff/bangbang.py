@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BLOCK_CELLS, ModelParams, ParameterError, as_generator, check_time_start,
-                   scalar_or_array)
+from .core import (BLOCK_CELLS, ModelParams, ParameterError, as_generator, check_counts,
+                   check_time_start, scalar_or_array)
 from .tails import gauss_tail, log_norm_sf, norm_cdf, norm_ppf
 
 
@@ -121,8 +121,7 @@ def simulate_y(p: ModelParams, y0: float, T: float, n_steps: int, seed=None, *, 
 
 def _check_batch(y0, T, n_steps, n_paths):
     check_time_start(T, y0)
-    if n_steps < 1 or n_paths < 1:
-        raise ParameterError("require n_steps >= 1 and n_paths >= 1")
+    check_counts(n_steps=n_steps, n_paths=n_paths)
 
 
 def gap_euler_step(y: np.ndarray, lam: float, dt: float, dw: np.ndarray) -> None:
@@ -274,6 +273,21 @@ def _check_triple_domain(y, t):
         raise ParameterError("joint gap/local-time laws require y >= 0 (mirror y < 0 upstream)")
 
 
+def _triple_kernel(coef, lam, t, a, s, c):
+    """coef exp(-2 lam a) s / sqrt(2 pi t^3) exp(-c^2 / (2t)), the one closed
+    form of the triple law, with s = a + b + y and c = s - lam t as each
+    caller rounds them: triple_density is coef 1, and the degenerate planar
+    wedges and front jump of densities are its images under the skew map."""
+    return coef * np.exp(-2.0 * lam * a) * s / np.sqrt(2.0 * np.pi * t**3) * np.exp(-(c**2) / (2.0 * t))
+
+
+def _atom_bracket(lam, y, t, a):
+    """exp(-(a - y + lam t)^2 / (2t)) - exp(-2 lam a - (a + y - lam t)^2 / (2t)),
+    the atom law of |Y(t)| times sqrt(2 pi t), for y >= 0 and a > 0."""
+    return (np.exp(-((a - y + lam * t) ** 2) / (2.0 * t))
+            - np.exp(-2.0 * lam * a - ((a + y - lam * t) ** 2) / (2.0 * t)))
+
+
 def triple_density(p: ModelParams, y: float, t: float, a, b):
     """Joint density of (Y(t) on one fixed side in da, 2 L(t) in db), y >= 0.
 
@@ -286,8 +300,7 @@ def triple_density(p: ModelParams, y: float, t: float, a, b):
     if np.any(a <= 0) or np.any(b <= 0):
         raise ParameterError("triple_density requires a > 0 and b > 0")
     s = a + b + y
-    out = np.exp(-2.0 * p.lam * a) * s / np.sqrt(2.0 * np.pi * t**3) * np.exp(-((s - p.lam * t) ** 2) / (2.0 * t))
-    return scalar_or_array(out, a, b)
+    return scalar_or_array(_triple_kernel(1.0, p.lam, t, a, s, s - p.lam * t), a, b)
 
 
 def atom_density(p: ModelParams, y: float, t: float, a):
@@ -300,11 +313,7 @@ def atom_density(p: ModelParams, y: float, t: float, a):
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0):
         raise ParameterError("atom_density requires a > 0")
-    lam = p.lam
-    out = (
-        np.exp(-((a - y + lam * t) ** 2) / (2.0 * t))
-        - np.exp(-2.0 * lam * a - ((a + y - lam * t) ** 2) / (2.0 * t))
-    ) / np.sqrt(2.0 * np.pi * t)
+    out = _atom_bracket(p.lam, y, t, a) / np.sqrt(2.0 * np.pi * t)
     if y == 0:
         out = np.zeros_like(out)
     return scalar_or_array(out, a)

@@ -84,7 +84,7 @@ def _roots(rho, sigma, eps, dlt, unit):
     and psi in (-pi, pi] with cos psi = rho sigma (1 + eps delta), sin psi =
     sigma^2 eps - rho^2 delta."""
     vol = volatilities(rho, sigma)
-    psi = _atan2(sigma**2 * eps - rho**2 * dlt, rho * sigma * (1 + eps * dlt))
+    psi = _atan2(sigma * sigma * eps - rho * rho * dlt, rho * sigma * (1 + eps * dlt))
     return vol, vol[..., None] * unit, psi
 
 
@@ -107,7 +107,7 @@ def criteria(rho, sigma, eps, dlt, phi, vartheta, psi, sigma_minus, sigma_plus):
     v = (sigma_plus[..., 0, :] - sigma_plus[..., 1, :]) + (sigma_minus[..., 0, :] - sigma_minus[..., 1, :])
     ip_sum_norm = np.sqrt(np.vecdot(v, v))  # np.linalg.norm's bits, per row
     dang = vartheta - phi
-    weak_scalar = (sigma**2 * eps - rho**2 * dlt) * _sin(dang) + rho * sigma * (1 + eps * dlt) * _cos(dang)
+    weak_scalar = (sigma * sigma * eps - rho * rho * dlt) * _sin(dang) + rho * sigma * (1 + eps * dlt) * _cos(dang)
     geom_defect = abs(_wrap_angle(math.pi + vartheta - phi - psi))
     weak = (ip_sum_norm <= IP_TOL, abs(weak_scalar + 1.0) <= SCALAR_TOL, geom_defect <= ANGLE_TOL)
     return ip_sum_norm, weak_scalar, geom_defect, weak
@@ -140,27 +140,18 @@ class SqrtConfig:
     psi: float = field(init=False)
 
     def __post_init__(self):
-        eps, dlt = self.root_sign_plus, self.root_sign_minus
-        _check_signs(eps, dlt)
-        unit = unit_blocks(eps, dlt, self.phi, self.vartheta)
-        _, m, psi = _roots(self.rho, self.sigma, eps, dlt, unit)
-        vars(self).update(unit=unit, sigma_minus=m[0], sigma_plus=m[1], psi=float(psi))  # frozen
-
-
-def _config(rho, sigma, eps, dlt, phi, vartheta, unit, m, psi) -> SqrtConfig:
-    """The configuration with blocks already derived (square_roots)."""
-    cfg = object.__new__(SqrtConfig)
-    vars(cfg).update(rho=rho, sigma=sigma, root_sign_plus=eps, root_sign_minus=dlt, phi=phi,
-                     vartheta=vartheta, unit=unit, sigma_minus=m[0], sigma_plus=m[1], psi=psi)
-    return cfg
+        """Reduce the angles to (-pi, pi], derive the blocks and psi, and
+        check the square-root property (square_roots)."""
+        _check_signs(self.root_sign_plus, self.root_sign_minus)
+        phi, vartheta, unit, m, psi = square_roots(self.rho, self.sigma, self.root_sign_plus,
+                                                   self.root_sign_minus, float(self.phi), float(self.vartheta))
+        vars(self).update(phi=float(phi), vartheta=float(vartheta), unit=unit, sigma_minus=m[0],
+                          sigma_plus=m[1], psi=float(psi))  # frozen
 
 
 def build_config(p: ModelParams, eps: int, root_sign_minus: int, phi: float, vartheta: float) -> SqrtConfig:
     """Materialize a configuration and verify the square-root property."""
-    eps, dlt = int(eps), int(root_sign_minus)
-    _check_signs(eps, dlt)
-    phi, vartheta, unit, m, psi = square_roots(p.rho, p.sigma, eps, dlt, float(phi), float(vartheta))
-    return _config(p.rho, p.sigma, eps, dlt, float(phi), float(vartheta), unit, m, float(psi))
+    return SqrtConfig(p.rho, p.sigma, int(eps), int(root_sign_minus), float(phi), float(vartheta))
 
 
 @dataclass(frozen=True)
@@ -213,11 +204,11 @@ def enumerate_diagonal_roots(p: ModelParams):
     """
     signs, angles = np.array(_AXIS_CONFIGS).T
     eps, dlt = np.repeat(signs, 8).astype(int), np.tile(signs, 8).astype(int)
-    phi, theta, unit, m, psi = square_roots(p.rho, p.sigma, eps, dlt, np.repeat(angles, 8), np.tile(angles, 8))
+    phi, theta, _, m, psi = square_roots(p.rho, p.sigma, eps, dlt, np.repeat(angles, 8), np.tile(angles, 8))
     ip_sum_norm, weak_scalar, geom_defect, weak = criteria(p.rho, p.sigma, eps, dlt, phi, theta, psi,
                                                            m[:, 0], m[:, 1])
-    configs = [_config(p.rho, p.sigma, int(eps[k]), int(dlt[k]), float(phi[k]), float(theta[k]), unit[k], m[k],
-                       float(psi[k])) for k in range(64)]
+    configs = [SqrtConfig(p.rho, p.sigma, int(eps[k]), int(dlt[k]), float(phi[k]), float(theta[k]))
+               for k in range(64)]
     verdicts = [_verdict(ip_sum_norm[k], weak_scalar[k], geom_defect[k], [w[k] for w in weak])
                 for k in range(64)]
     strong_count = sum(v.strong for v in verdicts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
 from .core import InitialState, ParameterError, SeedSpec, validate_params
-from .harness import (ExperimentConfig, PiecewiseBV, reports_to_rows,
+from .harness import (ExperimentConfig, PiecewiseBV, open_output, reports_to_rows,
                       tanaka_coalescence_experiment, write_csv)
 from .svgplot import emit_svg_heatmap
 from .validation import run_validation_suite
@@ -100,16 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
+    cfg = ExperimentConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if set(data) <= {"g", "h", "rho", "sigma", "x1", "x2", "seed"}:
-            cfg = ExperimentConfig.from_param_document(data, command=args.command)
-        else:
-            data.setdefault("command", args.command)
-            cfg = ExperimentConfig.from_json(json.dumps(data))
-    for name in ("g", "h", "rho", "sigma", "x1", "x2", "seed", "horizon", "steps",
+            cfg = ExperimentConfig.from_json(fh.read())
+    for name in ("command", "g", "h", "rho", "sigma", "x1", "x2", "seed", "horizon", "steps",
                  "paths", "out_dir", "workers", "scale"):
         val = getattr(args, name, None)
         if val is not None:
@@ -125,15 +120,17 @@ def _out(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
+def _write_json(path, payload):
+    with open_output(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def _emit_table(cfg, name, columns, rows, meta=None):
     if cfg.fmt == "json":
         path = _out(cfg, f"{name}.json")
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
-        payload = {"table": name, "meta": meta or {}, "columns": list(columns), "rows": rows}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(path, {"table": name, "meta": meta or {}, "columns": list(columns), "rows": rows})
     else:
         path = _out(cfg, f"{name}.csv")
         write_csv(path, name, columns, rows, meta)
@@ -221,9 +218,7 @@ def cmd_density(args) -> int:
         "continuous_values_convention": "wedge edges carry the interior one-sided limit",
     }
     side_path = _out(cfg, "joint_density.meta.json")
-    with open(side_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(side_path, sidecar)
     out = [table, side_path]
     if args.svg:
         emit_svg_heatmap(grid, _out(cfg, args.svg), title="joint density")

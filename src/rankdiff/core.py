@@ -44,6 +44,12 @@ def check_time_start(t, *starts) -> None:
             raise ParameterError("the start must be finite")
 
 
+def check_counts(**counts) -> None:
+    """Entry check of every kernel that takes step, path or repetition counts: each >= 1."""
+    if any(n < 1 for n in counts.values()):
+        raise ParameterError("require " + " and ".join(f"{name} >= 1" for name in counts))
+
+
 def scalar_or_array(out, *args):
     """The package's return rule: a Python float when every array argument
     in args is 0-d, else out, the ndarray."""

@@ -14,11 +14,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bangbang import atom_density, atom_mass, transition_density
+from .bangbang import (_atom_bracket, _check_triple_domain, _triple_kernel, atom_density, atom_mass,
+                       transition_density, triple_density)
 from .core import InitialState, ModelParams, ParameterError, check_time_start, scalar_or_array
 from .tails import norm_sf
-
-ISO_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +70,11 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     xi1, xi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(xi1, dtype=float)),
                                    np.atleast_1d(np.asarray(xi2, dtype=float)))
     front = front_location(p, s0, t)
-    lam, nu, z = p.lam, p.nu, s0.z
 
     def wedge(lo, hi):
         # density for the ordered pair (hi, lo): hi - lo > 0 on this wedge
-        u = hi - 3.0 * lo + z
-        return (
-            2.0
-            * np.exp(-2.0 * lam * (hi - lo))
-            * (u + 2.0 * p.g * t)
-            / np.sqrt(2.0 * np.pi * t**3)
-            * np.exp(-((u + nu * t) ** 2) / (2.0 * t))
-        )
+        u = hi - 3.0 * lo + s0.z
+        return _triple_kernel(2.0, p.lam, t, hi - lo, u + 2.0 * p.g * t, u + p.nu * t)
 
     in1 = (xi1 > xi2) & (xi2 <= front)
     in2 = (xi1 < xi2) & (xi1 <= front)
@@ -114,8 +106,7 @@ def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
     if s0.y != 0:
         raise ParameterError("front_jump is stated for y = 0")
     d = np.abs(np.asarray(gap, dtype=float))
-    out = 2.0 * d / np.sqrt(2.0 * np.pi * t**3) * np.exp(-2.0 * p.lam * d - ((d - p.lam * t) ** 2) / (2.0 * t))
-    return scalar_or_array(out, gap)
+    return scalar_or_array(_triple_kernel(2.0, p.lam, t, d, d, d - p.lam * t), gap)
 
 
 def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rho2):
@@ -138,12 +129,6 @@ def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rh
     return scalar_or_array(np.where(rho2 <= front, vals, 0.0), rho1, rho2)
 
 
-def rank_atom_density(p: ModelParams, s0: InitialState, t: float, rho1):
-    """Density in rho1 on the rank atom {R2(t) = x2 + g t}; same law as the
-    name-coordinate atom line."""
-    return atom_line_density(p, s0, t, rho1)
-
-
 # ---------------------------------------------------------------------------
 # quadrivariate law
 # ---------------------------------------------------------------------------
@@ -156,42 +141,19 @@ def quadrivariate_density(p: ModelParams, y: float, t: float, side: str, a, b, t
     """
     if side not in ("plus", "minus"):
         raise ParameterError("side must be 'plus' or 'minus'")
-    check_time_start(t, y)
-    if y < 0:
-        raise ParameterError("require y >= 0")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
-        raise ParameterError("f1 requires a > 0 and b > 0")
-    s = a + b + y
-    out = (
-        np.exp(-2.0 * p.lam * a)
-        * s
-        / (2.0 * np.pi * t**2)
-        * np.exp(-(theta**2 + (s - p.lam * t) ** 2) / (2.0 * t))
-    )
+    out = triple_density(p, y, t, a, b) * (np.exp(-(theta**2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
     return scalar_or_array(out, a, b, theta)
 
 
 def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
     """f2(a, theta): the no-local-time companion of f1; vanishes at y = 0."""
-    check_time_start(t, y)
-    if y < 0:
-        raise ParameterError("require y >= 0")
+    _check_triple_domain(y, t)
     a = np.asarray(a, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(a <= 0):
         raise ParameterError("f2 requires a > 0")
-    lam = p.lam
-    out = (
-        np.exp(-(theta**2) / (2.0 * t))
-        / (2.0 * np.pi * t)
-        * (
-            np.exp(-((a - y + lam * t) ** 2) / (2.0 * t))
-            - np.exp(-2.0 * lam * a - ((a + y - lam * t) ** 2) / (2.0 * t))
-        )
-    )
+    out = np.exp(-(theta**2) / (2.0 * t)) / (2.0 * np.pi * t) * _atom_bracket(p.lam, y, t, a)
     if y == 0:
         out = np.zeros_like(out)
     return scalar_or_array(out, a, theta)
@@ -228,11 +190,9 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     no-local-time component is smoothed by the independent noise and enters
     as an explicit extra term on the upper wedge.
     """
-    check_time_start(t, y)
+    _check_triple_domain(y, t)
     if p.gamma <= 0 or p.rho <= 0 or p.sigma <= 0:
         raise ParameterError("psi_density requires rho > sigma > 0 (gamma > 0); reduce by symmetry first")
-    if y < 0:
-        raise ParameterError("psi_density requires y >= 0; relabel the particles first")
     args = psi1, psi2
     psi1, psi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(psi1, dtype=float)),
                                      np.atleast_1d(np.asarray(psi2, dtype=float)))

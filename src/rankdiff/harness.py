@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 from scipy.special import chdtrc
 
-from .core import BLOCK_CELLS, ParameterError, SeedSpec, scalar_or_array
+from .core import BLOCK_CELLS, ParameterError, SeedSpec, check_counts, scalar_or_array
 
 
 # ---------------------------------------------------------------------------
@@ -94,23 +94,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """The config of a JSON document: a full one (to_json) or any subset,
+        such as the bare parameter document {g, h, rho, sigma, x1, x2, seed}."""
         data = json.loads(text)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_param_document(cls, data: dict, **overrides) -> "ExperimentConfig":
-        """Accept the bare parameter document {g,h,rho,sigma,x1,x2,seed}."""
-        allowed = {"g", "h", "rho", "sigma", "x1", "x2", "seed"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ParameterError(f"unknown parameter-document keys: {sorted(unknown)}")
-        merged = dict(data)
-        merged.update(overrides)
-        return cls(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +476,13 @@ def _float_body(rows: np.ndarray):
     return blocks, fast
 
 
+def open_output(path: str):
+    """path opened for writing UTF-8 text with LF line ends, its directory
+    made first: the one opener of every file the package writes."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path: str, name: str, columns: Sequence[str], rows, meta: Optional[dict] = None) -> str:
     """Write a versioned CSV; deterministic formatting, byte-stable.
 
@@ -504,8 +502,7 @@ def write_csv(path: str, name: str, columns: Sequence[str], rows, meta: Optional
     else:
         lines.extend(",".join(format_cell(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(text)
     return text
 
@@ -603,8 +600,7 @@ def tanaka_coalescence_experiment(f: PiecewiseBV, dts: Sequence[float], reps: in
     """
     if drive not in ("perturbed", "plain"):
         raise ParameterError("drive must be 'perturbed' or 'plain'")
-    if reps < 1:
-        raise ParameterError("reps must be >= 1")
+    check_counts(reps=reps)
     dts = sorted(float(d) for d in dts)
     if not dts or not all(math.isfinite(d) and d > 0 for d in dts):
         raise ParameterError("every dt must be finite and > 0")

@@ -21,7 +21,7 @@ import numpy as np
 from .bangbang import (YPath, TripleBatch, sample_triples, skorokhod_local_time_series,
                        tanaka_residual_series)
 from .classifier import SYSTEMS, SqrtConfig, unit_blocks, volatilities
-from .core import InitialState, ModelParams, ParameterError, as_generator, check_time_start
+from .core import InitialState, ModelParams, ParameterError, as_generator, check_counts, check_time_start
 
 SystemKind = Union[str, SqrtConfig]  # "B" | "W" | "V" | square-root config
 
@@ -191,8 +191,7 @@ def euler_simulate(kind: SystemKind, p: ModelParams, s0: InitialState, T: float,
     (shape (n_steps, 2)) overrides the raw driving noise.
     """
     check_time_start(T)
-    if n_steps < 1:
-        raise ParameterError("require n_steps >= 1")
+    check_counts(n_steps=n_steps)
     dt = T / n_steps
     drift, m = _step_table(kind, p, dt)
     if increments is None:
@@ -227,8 +226,7 @@ def euler_terminal_batch(kind: SystemKind, p: ModelParams, s0: InitialState, t: 
     """Terminal draws (X1(t), X2(t)) of n_paths Euler paths, vectorized; for every
     system with n_paths = 1, the end of the path euler_simulate draws from the same seed."""
     check_time_start(t)
-    if n_steps < 1 or n_paths < 1:
-        raise ParameterError("require n_steps >= 1 and n_paths >= 1")
+    check_counts(n_steps=n_steps, n_paths=n_paths)
     rng = as_generator(seed)
     dt = t / n_steps
     sq = np.sqrt(dt)

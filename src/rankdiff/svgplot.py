@@ -8,11 +8,10 @@ as an overlay on top of the continuous heat cells.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .densities import DensityGrid
+from .harness import open_output
 
 # coarse viridis anchors, interpolated linearly in RGB
 _VIRIDIS = np.array([
@@ -128,8 +127,7 @@ def emit_svg_heatmap(grid: DensityGrid, path: str, title: str = "") -> str:
     """Write the heatmap SVG to `path`; byte-stable for fixed input."""
     text = svg_heatmap_string(grid, title)
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open_output(path) as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed to write SVG heatmap to {path!r}: {exc}") from exc

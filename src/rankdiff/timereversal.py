@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bangbang import gap_euler_step, sample_terminal_exact, tanaka_residual_series
-from .core import ModelParams, ParameterError, SeedSpec, as_generator, check_time_start, scalar_or_array
+from .core import (ModelParams, ParameterError, SeedSpec, as_generator, check_counts, check_time_start,
+                   scalar_or_array)
 from .harness import ks_two_sample
 from .planar import PlanarPath, noise_bundle, ranks
 from .tails import log_gauss_tail, norm_sf
@@ -147,8 +148,7 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     recorded grid step: later steps would draw noise no row uses, so an
     empty record_times runs no step.
     """
-    if n_steps < 1:
-        raise ParameterError("simulate_backward requires n_steps >= 1")
+    check_counts(n_steps=n_steps)
     rng = as_generator(seed)
     y = np.array(yT_draws, dtype=float, copy=True)
     check_time_start(spec.T, y)  # the terminal draws start the backward paths
@@ -186,8 +186,7 @@ def reversal_ks(spec: BackwardDriftSpec, n_steps: int, n_paths: int, seed: SeedS
     and are read n_steps - k steps back from T, so t_check = k T / n_steps
     (T / 2 for even n_steps).
     """
-    if n_steps < 1 or n_paths < 1:
-        raise ParameterError("reversal_ks requires n_steps >= 1 and n_paths >= 1")
+    check_counts(n_steps=n_steps, n_paths=n_paths)
     p, T = spec.params, spec.T
     steady = spec.mode == "steady_state"
     rng = seed.stream(0).generator()

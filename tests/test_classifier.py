@@ -182,6 +182,24 @@ def test_verdict_fields_consistent():
     assert s.ip_sum_norm > classifier.IP_TOL and not s.geom_holds
 
 
+def test_constructor_is_build_config():
+    # the constructor reduces the angles, derives the blocks and psi, and checks the residual
+    p = params(0.8, 0.6)
+    for eps, dlt, phi, theta in [(1, -1, 7.0, -9.0), (-1, 1, -4.0, 3 * math.pi / 2), (1, 1, 2 * math.pi, math.pi)]:
+        direct = classifier.SqrtConfig(p.rho, p.sigma, eps, dlt, phi, theta)
+        built = classifier.build_config(p, eps, dlt, phi, theta)
+        assert direct == built and -math.pi < direct.phi <= math.pi and -math.pi < direct.vartheta <= math.pi
+        for name in ("unit", "sigma_plus", "sigma_minus"):
+            assert getattr(direct, name).tobytes() == getattr(built, name).tobytes()
+
+
+def test_constructor_raises_on_a_residual_failure(monkeypatch):
+    monkeypatch.setattr(classifier, "SQRT_RESIDUAL_TOL", 0.0)
+    p = params(0.8, 0.6)
+    with pytest.raises(RuntimeError, match="square-root residual"):
+        classifier.SqrtConfig(p.rho, p.sigma, 1, 1, 0.7, 2.1)
+
+
 def test_build_config_rejects_bad_signs():
     p = params(0.8, 0.6)
     with pytest.raises(Exception):

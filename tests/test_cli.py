@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankdiff.cli import main
+from rankdiff.harness import ExperimentConfig
 
 
 def run(args):
@@ -117,6 +118,19 @@ def test_config_file_and_flag_override(tmp_path):
     assert code == 0
     header = read_lines(tmp_path / "path_000.csv")[0]
     assert "seed=11" in header
+
+
+def test_full_config_document_and_flag_override(tmp_path):
+    doc = ExperimentConfig(command="simulate", x1=0.1, horizon=0.25, steps=10, seed=13)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(doc.to_json())
+    code = run(["simulate", "--system", "B", "--config", str(cfg_path), "--steps", "8",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    lines = read_lines(tmp_path / "path_000.csv")
+    assert "seed=13" in lines[0]
+    assert len(lines) == 2 + 9  # --steps 8 overrides the document's 10
+    assert lines[-1].startswith("0.25,")  # the document's horizon
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

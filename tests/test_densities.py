@@ -222,14 +222,6 @@ def test_rank_density_finite_at_diagonal_and_rejects_disorder():
         densities.rank_density_degenerate(P_DEG, s0, 1.0, 0.3, 0.4)
 
 
-def test_rank_atom_equals_line_atom():
-    s0 = InitialState(0.5, 0.0)
-    u = np.linspace(1.01, 4.0, 50)
-    np.testing.assert_array_equal(
-        densities.rank_atom_density(P_DEG, s0, 1.0, u),
-        densities.atom_line_density(P_DEG, s0, 1.0, u))
-
-
 # ---------------------------------------------------------------------------
 # quadrivariate law
 # ---------------------------------------------------------------------------

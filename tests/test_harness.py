@@ -42,11 +42,12 @@ def test_experiment_config_rejects_unknown_keys():
 
 
 def test_param_document_round_trip():
+    # the bare parameter document is a subset of the config's fields: one loader reads both
     doc = {"g": 1.0, "h": 0.5, "rho": 0.8, "sigma": 0.6, "x1": 0.1, "x2": 0.0, "seed": 7}
-    cfg = ExperimentConfig.from_param_document(doc, command="sample")
-    assert cfg.g == 1.0 and cfg.seed == 7 and cfg.command == "sample"
-    with pytest.raises(ParameterError):
-        ExperimentConfig.from_param_document({"gh": 1.0})
+    cfg = ExperimentConfig.from_json(json.dumps(doc))
+    assert cfg == ExperimentConfig(**doc) and cfg.g == 1.0 and cfg.seed == 7
+    with pytest.raises(ParameterError, match="gh"):
+        ExperimentConfig.from_json(json.dumps({"gh": 1.0}))
 
 
 # ---------------------------------------------------------------------------

@@ -41,25 +41,45 @@ def test_sweep_counts_match_the_per_config_loop(seed, counts):
     assert sweep_counts(seed) == counts
 
 
-def test_swept_verdicts_are_the_one_config_verdicts():
-    u, eps, dlt, phi, vartheta = validation._sweep_configs(SeedSpec(9307).stream(1000).stream(0).generator(),
-                                                            3_200)
+def swept(seed, n):
+    """The sweep's draws, its (rho, sigma) and its (phi, vartheta, psi, ip_sum_norm,
+    weak_scalar, geom_defect) columns, as check_classifier makes them, and by_ip."""
+    u, eps, dlt, phi, vartheta = validation._sweep_configs(SeedSpec(seed).stream(1000).stream(0).generator(), n)
     rho, sigma = np.cos(u), np.sin(u)
     norm = np.sqrt(rho**2 + sigma**2)
     rho, sigma = rho / norm, sigma / norm
     phi_w, vartheta_w, _, m, psi = classifier.square_roots(rho, sigma, eps, dlt, phi, vartheta)
     ip, scalar, geom, (by_ip, _, _) = classifier.criteria(rho, sigma, eps, dlt, phi_w, vartheta_w, psi,
                                                           m[:, 0], m[:, 1])
+    cols = np.column_stack([phi_w, vartheta_w, psi, ip, scalar, geom])
+    return (u, eps, dlt, phi, vartheta), (rho, sigma), cols, by_ip
+
+
+def one_config(p, eps, dlt, phi, vartheta):
+    cfg = classifier.build_config(p, eps, dlt, phi, vartheta)
+    v = classifier.strength(cfg)
+    return v.strong, [cfg.phi, cfg.vartheta, cfg.psi, v.ip_sum_norm, v.weak_scalar, v.geom_defect]
+
+
+def test_swept_verdicts_are_the_one_config_verdicts():
+    (u, eps, dlt, phi, vartheta), _, cols, by_ip = swept(9307, 3_200)
     for k in range(len(u)):
         p = validate_params(1.0, 1.0, math.cos(u[k]), math.sin(u[k]), renormalize=True)
-        cfg = classifier.build_config(p, eps[k], dlt[k], phi[k], vartheta[k])
-        v = classifier.strength(cfg)
-        assert v.strong == (not by_ip[k])
-        # the arrays square as x * x, Python's x**2 calls pow: an ulp apart at most
-        np.testing.assert_allclose([cfg.phi, cfg.vartheta, cfg.psi, v.ip_sum_norm, v.weak_scalar, v.geom_defect],
-                                   [phi_w[k], vartheta_w[k], psi[k], ip[k], scalar[k], geom[k]],
-                                   rtol=4e-16, atol=4e-16)
+        strong, one = one_config(p, eps[k], dlt[k], phi[k], vartheta[k])
+        assert strong == (not by_ip[k])
+        # validate_params renormalises with pow, the sweep with x * x: (rho, sigma) an ulp
+        # apart at most (bit for bit on equal (rho, sigma), below)
+        np.testing.assert_allclose(one, cols[k], rtol=4e-16, atol=4e-16)
     assert np.flatnonzero(by_ip).tolist() == [3089]  # the seed's one weak configuration, ip 8.7e-7
+
+
+@pytest.mark.parametrize("seed", [20240601, 9307, 31])
+def test_sweep_equals_the_one_config_path_bit_for_bit(seed):
+    # both square as x * x, so on the sweep's own (rho, sigma) the two cases agree to the bit
+    (_, eps, dlt, phi, vartheta), (rho, sigma), cols, _ = swept(seed, 10_000)
+    one = [one_config(validate_params(1.0, 1.0, rho[k], sigma[k]), eps[k], dlt[k], phi[k], vartheta[k])[1]
+           for k in range(len(rho))]
+    assert np.array(one).tobytes() == cols.tobytes()
 
 
 def test_axis_roots_as_64_configs_equal_64_one_config_calls():
