@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(sp)
     sp.add_argument("--workers", type=int, default=1, help="worker threads (output-invariant)")
     sp.add_argument("--scale", type=float, default=1.0, help="Monte Carlo size multiplier")
-    sp.add_argument("--inject-fault", help=argparse.SUPPRESS)  # test hook, e.g. density_scale=1.01
 
     sp = sub.add_parser("tanaka", help="coalescence experiment for the perturbed sign equation")
     _add_shared(sp)
@@ -282,11 +281,7 @@ def cmd_reverse(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _build_config(args)
-    fault = None
-    if args.inject_fault:
-        key, _, val = args.inject_fault.partition("=")
-        fault = {key: float(val)}
-    reports = run_validation_suite(cfg, fault=fault)
+    reports = run_validation_suite(cfg)
     cols, rows = reports_to_rows(reports)
     path = _emit_table(cfg, "validation_reports", cols, rows,
                        {"seed": cfg.seed, "scale": cfg.scale})

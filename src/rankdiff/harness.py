@@ -3,8 +3,9 @@ Carlo, CSV emission, and the coalescence experiment for the perturbed
 sign-driven equation.
 
 Everything here is deterministic given (master_seed): work is split into
-fixed-size batches with pre-assigned sub-streams, and results are reassembled
-in batch order, so outputs are byte-identical for any worker count.
+fixed-size batches whose boundaries depend on the total alone, each with a
+pre-assigned sub-stream, and results are reassembled in batch order, so
+outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -108,27 +109,21 @@ class ExperimentConfig:
 # deterministic parallel map
 # ---------------------------------------------------------------------------
 
-DEFAULT_BATCH = 20_000
-
-
 def pmap_batches(total: int, fn: Callable[[int, SeedSpec], np.ndarray], seed: SeedSpec,
-                 workers: int = 1, batch_size: int = DEFAULT_BATCH) -> List[np.ndarray]:
-    """Run fn(batch_n, sub_seed) over fixed-size batches of `total` draws.
+                 workers: int = 1) -> List[np.ndarray]:
+    """Run fn(batch_n, sub_seed) over batches of 20,000 of `total` draws.
 
-    Batch boundaries and sub-stream ids depend only on (total, batch_size),
-    never on `workers`, and results come back in batch order: the
-    concatenated output is byte-identical for any worker count.
+    Batch boundaries and sub-stream ids depend on `total` alone, never on
+    `workers`, and results come back in batch order: the concatenated output
+    is byte-identical for any worker count.  An exception raised in a batch
+    reaches the caller.
     """
-    sizes = [min(batch_size, total - k) for k in range(0, total, batch_size)]
-    tasks = [(i, n, seed.stream(i)) for i, n in enumerate(sizes)]
+    sizes = [min(20_000, total - k) for k in range(0, total, 20_000)]
+    seeds = [seed.stream(i) for i in range(len(sizes))]
     if workers <= 1:
-        return [fn(n, s) for _, n, s in tasks]
-    out: List[Optional[np.ndarray]] = [None] * len(tasks)
+        return [fn(n, s) for n, s in zip(sizes, seeds)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, n, s): i for i, n, s in tasks}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out  # type: ignore[return-value]
+        return list(pool.map(fn, sizes, seeds))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ histogram carries the O(dt) bias of its Euler chain and reads about 0.014
 local-time/reversal-halving is red by design (see check_local_time).  Every
 random quantity is keyed to the config seed through fixed sub-streams, so
 the battery is deterministic and its emitted tables are byte-identical
-across runs and worker counts.
+across runs and worker counts.  Its only settings are the config's seed,
+scale and workers (`--seed`, `--scale`, `--workers`); every tolerance, step
+count and grid size is fixed here, and tests inject faults by monkeypatching.
 
 Normalization integrals are taken in coordinates aligned with each law's
 kink and jump lines (gap/sum rotation, per-wedge parametrization), so the
@@ -19,7 +21,7 @@ not the integrator.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -51,20 +53,19 @@ def _integrate_kinked(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     return float(np.sum(fn(pts) * wts))
 
 
-def _mass_rotated(density2: Callable, u_lo, u_hi, s_lo, s_hi, u_cuts=(), n_panels=24) -> float:
+def _mass_rotated(density2: Callable, u_lo, u_hi, s_lo, s_hi, u_cuts=()) -> float:
     """Integral of density2(xi1, xi2) via gap/sum coordinates u, s.
 
     Kink lines of the planar laws are gap-diagonal, i.e. vertical in (u, s);
     pass them as u_cuts and the integrand is smooth per panel.
     """
-    pu, wu = gl_points(u_lo, u_hi, n_panels, cuts=u_cuts)
-    ps, ws = gl_points(s_lo, s_hi, n_panels)
+    pu, wu = gl_points(u_lo, u_hi, 24, cuts=u_cuts)
+    ps, ws = gl_points(s_lo, s_hi, 24)
     vals = grid_values(lambda u, s: density2((s + u) / 2.0, (s - u) / 2.0), pu, ps)
     return 0.5 * float(np.einsum("i,j,ij->", wu, ws, vals))
 
 
-def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
-                       scale: float = 1.0, n_panels: int = 28):
+def _masses_degenerate(p: ModelParams, s0: InitialState, t: float):
     """Continuous masses of the degenerate joint and rank laws, per-wedge
     parametrization.
 
@@ -73,8 +74,8 @@ def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
     """
     front = densities.front_location(p, s0, t)
     hw = abs(s0.y) + p.lam * t + 13 * math.sqrt(t) + 3
-    pu, wu = gl_points(1e-12, hw, n_panels)
-    pw, ww = gl_points(front - hw, front, n_panels)
+    pu, wu = gl_points(1e-12, hw, 28)
+    pw, ww = gl_points(front - hw, front, 28)
 
     def mass(f):  # f(x_hi, x_lo) over the (u, w) grid
         vals = grid_values(lambda u, w: f(w + u, w + 0 * u), pu, pw)
@@ -82,7 +83,7 @@ def _masses_degenerate(p: ModelParams, s0: InitialState, t: float,
 
     joint = mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, hi, lo))
     joint += mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, lo, hi))
-    return scale * joint, scale * mass(lambda hi, lo: densities.rank_density_degenerate(p, s0, t, hi, lo))
+    return joint, mass(lambda hi, lo: densities.rank_density_degenerate(p, s0, t, hi, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def _params_for_lam(lam: float, rho: float = 1.0, sigma: float = 0.0) -> ModelPa
     return validate_params(lam / 2, lam / 2, rho, sigma)
 
 
-def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
+def check_normalization() -> List:
     reports = []
     worst = 0.0
     for lam in _LAM_GRID:
@@ -150,11 +151,10 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
         for t in _T_GRID:
             for y in _Y_GRID:
                 hw = abs(y) + lam * t + 12 * math.sqrt(t) + 2
-                mass = _integrate_kinked(
-                    lambda xi: density_scale * bangbang.transition_density(p, t, y, xi),
-                    -hw, hw, kinks=[0.0])
+                mass = _integrate_kinked(lambda xi: bangbang.transition_density(p, t, y, xi),
+                                         -hw, hw, kinks=[0.0])
                 worst = max(worst, abs(mass - 1.0))
-    reports.append(_report("sup", "normalization/transition-density-grid", worst, tol, 36))
+    reports.append(_report("sup", "normalization/transition-density-grid", worst, 1e-5, 36))
 
     # isotropic, over a small (rates, t) sweep
     worst = 0.0
@@ -165,26 +165,26 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
         for t in (0.5, 2.0):
             hw = abs(s0.y) + p.lam * t + 12 * math.sqrt(t) + 2
             s_mid = s0.z + p.nu * t
-            mass = _mass_rotated(
-                lambda a, b: density_scale * densities.joint_density_isotropic(p, s0, t, a, b),
-                -hw, hw, s_mid - 14 * math.sqrt(t), s_mid + 14 * math.sqrt(t), u_cuts=[0.0])
+            mass = _mass_rotated(lambda a, b: densities.joint_density_isotropic(p, s0, t, a, b),
+                                 -hw, hw, s_mid - 14 * math.sqrt(t), s_mid + 14 * math.sqrt(t),
+                                 u_cuts=[0.0])
             worst = max(worst, abs(mass - 1.0))
-    reports.append(_report("sup", "normalization/isotropic", worst, tol, 4))
+    reports.append(_report("sup", "normalization/isotropic", worst, 1e-5, 4))
 
     # degenerate (joint and rank laws), with and without the line component
     for lam, t in ((2.0, 1.0), (1.0, 0.5), (5.0, 0.2)):
         p = _params_for_lam(lam)
         for name, s0 in [("fig2", InitialState(0.0, 0.0)), ("apart", InitialState(0.5, 0.0))]:
-            cont, rk = _masses_degenerate(p, s0, t, scale=density_scale)
+            cont, rk = _masses_degenerate(p, s0, t)
             front = densities.front_location(p, s0, t)
             line = _integrate_kinked(
-                lambda u: density_scale * densities.atom_line_density(p, s0, t, u),
+                lambda u: densities.atom_line_density(p, s0, t, u),
                 front + 1e-12, front + abs(s0.y) + p.lam * t + 14.0 * math.sqrt(t) + 2, n_panels=32)
             reports.append(_report("sup", f"normalization/degenerate-{name}/lam={lam:g},t={t:g}",
-                                   abs(cont + line - 1.0), tol, 1,
+                                   abs(cont + line - 1.0), 1e-5, 1,
                                    note=f"atom mass {densities.atom_line_mass(p, s0, t):.6f}"))
             reports.append(_report("sup", f"normalization/rank-degenerate-{name}/lam={lam:g},t={t:g}",
-                                   abs(rk + line - 1.0), tol, 1))
+                                   abs(rk + line - 1.0), 1e-5, 1))
 
     # general unequal-variance law, in centered coordinates
     p = validate_params(1.0, 0.5, 0.8, 0.6)
@@ -193,11 +193,11 @@ def check_normalization(density_scale: float = 1.0, tol: float = 1e-5) -> List:
         for y in (0.0, 0.4):
             hw = abs(y) + p.lam * t + 12 * math.sqrt(t) + 2
             s_mid = -p.lam * p.gamma * t
-            mass = _mass_rotated(lambda a, b: density_scale * densities.psi_density(p, y, t, a, b),
+            mass = _mass_rotated(lambda a, b: densities.psi_density(p, y, t, a, b),
                                  -hw, hw, s_mid - 14 * math.sqrt(t), s_mid + 14 * math.sqrt(t),
                                  u_cuts=[-y])
             worst = max(worst, abs(mass - 1.0))
-    reports.append(_report("sup", "normalization/unequal-variance", worst, tol, 4))
+    reports.append(_report("sup", "normalization/unequal-variance", worst, 1e-5, 4))
     return reports
 
 
@@ -217,10 +217,10 @@ def _ck_convolutions(p: ModelParams, t: float, y: float):
     return vals.sum(axis=1), bangbang.transition_density(p, t, y, xi)
 
 
-def check_chapman_kolmogorov(tol: float = 1e-6) -> List:
+def check_chapman_kolmogorov() -> List:
     cases = [(_params_for_lam(lam), t, y) for lam in _LAM_GRID for t in _T_GRID for y in _Y_GRID]
     worst = max(float(np.abs(np.subtract(*_ck_convolutions(*case))).max()) for case in cases)
-    return [_report("sup", "chapman-kolmogorov/pointwise", worst, tol, 252)]
+    return [_report("sup", "chapman-kolmogorov/pointwise", worst, 1e-6, 252)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +237,11 @@ def _sampler_cases():
     ]
 
 
-def _fine_grid_marginals(p, s0, t, lo1, hi1, lo2, hi2, n=2000):
+def _fine_grid_marginals(p, s0, t, lo1, hi1, lo2, hi2):
     """Continuous-part marginal CDF tables on a fine product grid, with the
     singular line folded into the marginal it spreads over."""
-    g1 = np.linspace(lo1, hi1, n)
-    g2 = np.linspace(lo2, hi2, n)
+    g1 = np.linspace(lo1, hi1, 2000)
+    g2 = np.linspace(lo2, hi2, 2000)
     c1 = (g1[1:] + g1[:-1]) / 2
     c2 = (g2[1:] + g2[:-1]) / 2
     h1, h2 = g1[1] - g1[0], g2[1] - g2[0]
@@ -315,8 +315,7 @@ def check_sampler_vs_density(seed: SeedSpec, n_draws: int = 100_000, workers: in
 # criterion 6: Euler terminal laws vs the exact sampler
 # ---------------------------------------------------------------------------
 
-def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 1000,
-                         workers: int = 1) -> List:
+def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, workers: int = 1) -> List:
     p = validate_params(1.0, 1.0, 1.0, 0.0)
     s0 = InitialState(0.0, 0.0)
     t = 1.0
@@ -329,7 +328,7 @@ def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 
     reports = []
     for k, kind in enumerate(("B", "W", "V")):
         def draw_euler(n, s, kind=kind):
-            return np.column_stack(planar.euler_terminal_batch(kind, p, s0, t, n_steps, n, s))
+            return np.column_stack(planar.euler_terminal_batch(kind, p, s0, t, 1000, n, s))
 
         eu = np.concatenate(pmap_batches(n_paths, draw_euler, seed.stream(1000 + 100 * k), workers), axis=0)
         reports.append(_report("KS", f"euler-vs-exact/system-{kind}/x1",
@@ -343,8 +342,9 @@ def check_euler_vs_exact(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 
 # criterion 7: path identities
 # ---------------------------------------------------------------------------
 
-def check_path_identities(seed: SeedSpec, n_steps: int = 4000) -> List:
+def check_path_identities(seed: SeedSpec) -> List:
     reports = []
+    n_steps = 4000
     p = validate_params(1.0, 0.5, 0.8, 0.6)
     s0 = InitialState(0.2, 0.0)
     kinds = ["B", "W", "V", classifier.build_config(p, -1, 1, 0.7, 2.1)]
@@ -366,10 +366,10 @@ def check_path_identities(seed: SeedSpec, n_steps: int = 4000) -> List:
 # criterion 8: local time estimators
 # ---------------------------------------------------------------------------
 
-def _localtime_gap_rms(seed: SeedSpec, dt: float, n_paths: int, which: str,
-                       lam: float = 2.0, y0: float = 0.3, T: float = 1.0) -> float:
-    n_steps = int(round(T / dt))
-    times, y, dw = bangbang.euler_gap_paths_batch(lam, y0, T, n_steps, n_paths, seed.generator())
+def _localtime_gap_rms(seed: SeedSpec, dt: float, which: str) -> float:
+    """RMS of one estimator identity's last-row gap over 600 gap paths (lam 2, y0 0.3, T 1)."""
+    lam, n_steps = 2.0, int(round(1.0 / dt))
+    times, y, dw = bangbang.euler_gap_paths_batch(lam, 0.3, 1.0, n_steps, 600, seed.generator())
     if which == "skorokhod":  # the last rows only
         gap = (2.0 * bangbang.tanaka_residual_matrix(y, last=True)
                - bangbang.skorokhod_local_time_series(y, dw, times, lam, last=True))
@@ -406,9 +406,9 @@ def check_local_time(seed: SeedSpec, n_paths: int = 256) -> List:
                      "stated for it is not attainable; kept red by design"),
     ):
         r_coarse = _localtime_gap_rms(seed.stream(100_000 if which == "skorokhod" else 200_000),
-                                      1e-3, 600, which)
+                                      1e-3, which)
         r_fine = _localtime_gap_rms(seed.stream(100_001 if which == "skorokhod" else 200_001),
-                                    2.5e-4, 600, which)
+                                    2.5e-4, which)
         ratio = r_fine / r_coarse
         reports.append(_report("sup", f"local-time/{which}-halving", ratio, 0.62, 600,
                                note=f"rms {r_coarse:.4f} -> {r_fine:.4f} as dt quarters; {note}"))
@@ -424,7 +424,7 @@ def _log_density_fd(p, y0, tau, xi, h):
     return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
 
 
-def check_time_reversal(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 500) -> List:
+def check_time_reversal(seed: SeedSpec, n_paths: int = 100_000) -> List:
     reports = []
     lam = 2.0
     p = _params_for_lam(lam)
@@ -455,7 +455,7 @@ def check_time_reversal(seed: SeedSpec, n_paths: int = 100_000, n_steps: int = 5
     reports.append(_report("sup", "reversal/steady-drift-exact", float(np.abs(steady - ref).max()), 0.0, 401))
 
     spec = timereversal.BackwardDriftSpec(p, 0.0, 1.0, mode="steady_state")
-    _, ks = timereversal.reversal_ks(spec, n_steps, n_paths, seed)
+    _, ks = timereversal.reversal_ks(spec, 500, n_paths, seed)
     reports.append(_report("KS", "reversal/steady-state-paths", ks, 0.015, n_paths))
     return reports
 
@@ -497,10 +497,8 @@ def check_invariant_law(seed: SeedSpec, n_paths: int = 768) -> List:
 # suite
 # ---------------------------------------------------------------------------
 
-def run_validation_suite(cfg, fault: Optional[dict] = None) -> List:
+def run_validation_suite(cfg) -> List:
     """Execute the acceptance battery; collect (never short-circuit) results."""
-    fault = fault or {}
-    density_scale = float(fault.get("density_scale", 1.0))
     seed = SeedSpec(cfg.seed)
     scale = max(cfg.scale, 1e-3)
 
@@ -509,13 +507,12 @@ def run_validation_suite(cfg, fault: Optional[dict] = None) -> List:
 
     reports: List = []
     reports += check_classifier(seed.stream(_STREAMS["classifier"]), n_sweep=n_of(10_000, 500))
-    reports += check_normalization(density_scale=density_scale)
+    reports += check_normalization()
     reports += check_chapman_kolmogorov()
     reports += check_sampler_vs_density(seed.stream(_STREAMS["sampler"]),
                                         n_draws=n_of(100_000, 4000), workers=cfg.workers)
     reports += check_euler_vs_exact(seed.stream(_STREAMS["euler"]),
-                                    n_paths=n_of(100_000, 2000),
-                                    n_steps=1000, workers=cfg.workers)
+                                    n_paths=n_of(100_000, 2000), workers=cfg.workers)
     reports += check_path_identities(seed.stream(_STREAMS["paths"]))
     reports += check_local_time(seed.stream(_STREAMS["localtime"]), n_paths=n_of(256, 32))
     reports += check_time_reversal(seed.stream(_STREAMS["reversal"]),

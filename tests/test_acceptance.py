@@ -83,7 +83,7 @@ def test_criterion_5_sampler_against_densities():
 
 def test_criterion_6_euler_against_exact_sampler():
     reports = _timed(check_euler_vs_exact, SEED.stream(20_000),
-                     n_paths=100_000, n_steps=1000, workers=WORKERS)
+                     n_paths=100_000, workers=WORKERS)
     _run("criterion-6 euler-vs-exact", 37.0, reports)  # measured 8.5-12.3 s
 
 

@@ -60,11 +60,23 @@ def _draw(n, seed_spec):
 
 @pytest.mark.parametrize("workers", [1, 3, 7])
 def test_pmap_output_independent_of_workers(workers):
-    base = pmap_batches(50_000, _draw, SeedSpec(99), workers=1, batch_size=8192)
-    out = pmap_batches(50_000, _draw, SeedSpec(99), workers=workers, batch_size=8192)
+    # batches of 20,000: 50,000 draws leave a short last batch of 10,000
+    base = pmap_batches(50_000, _draw, SeedSpec(99), workers=1)
+    out = pmap_batches(50_000, _draw, SeedSpec(99), workers=workers)
+    assert [len(a) for a in out] == [20_000, 20_000, 10_000]
     for a, b in zip(base, out):
         np.testing.assert_array_equal(a, b)
-    assert sum(len(a) for a in out) == 50_000
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pmap_batch_exception_reaches_the_caller(workers):
+    def draw(n, seed_spec):
+        if seed_spec.stream_id == 1:
+            raise ValueError("batch 1 failed")
+        return _draw(n, seed_spec)
+
+    with pytest.raises(ValueError, match="batch 1 failed"):
+        pmap_batches(50_000, draw, SeedSpec(99), workers=workers)
 
 
 # ---------------------------------------------------------------------------
