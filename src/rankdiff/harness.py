@@ -157,14 +157,6 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def tabulate_pdf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 4001):
-    """(grid, cdf) table of a 1D pdf by trapezoidal accumulation."""
-    grid = np.linspace(lo, hi, n)
-    pdf = fn(grid)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
-    return grid, cdf
-
-
 def gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
                cuts: Sequence[float] = ()):
     """Gauss-Legendre nodes/weights over [lo, hi], panels split at cuts."""

@@ -18,8 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bangbang import (YPath, TripleBatch, sample_triples, skorokhod_local_time_series,
-                       tanaka_residual_series)
+from .bangbang import YPath, TripleBatch, sample_triples, tanaka_residual_series
 from .classifier import SYSTEMS, SqrtConfig, unit_blocks, volatilities
 from .core import InitialState, ModelParams, ParameterError, as_generator, check_counts, check_time_start
 
@@ -356,10 +355,3 @@ def rank_residuals(path: PlanarPath):
     res1 = r1_series - (r1_0 - p.h * t + p.rho * v1 + el)
     res2 = r2_series - (r2_0 + p.g * t + p.sigma * v2 - el)
     return res1, res2
-
-
-def skorokhod_gap_local_time(path: PlanarPath) -> np.ndarray:
-    """2 L(t) of the difference via the reflection running-max formula,
-    driven by the gap noise reconstructed from the stored increments."""
-    return skorokhod_local_time_series(path.y_values, gap_driver_increments(path),
-                                       path.times, path.params.lam)

@@ -10,7 +10,15 @@ from scipy.integrate import dblquad, quad
 
 from rankdiff import bangbang, planar
 from rankdiff.core import InitialState, ParameterError, SeedSpec, validate_params
-from rankdiff.harness import ks_statistic, ks_two_sample, tabulate_pdf
+from rankdiff.harness import ks_statistic, ks_two_sample
+
+
+def tabulate_pdf(fn, lo, hi, n):
+    """(grid, cdf) table of a 1D pdf by trapezoidal accumulation."""
+    grid = np.linspace(lo, hi, n)
+    pdf = fn(grid)
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
+    return grid, cdf
 
 
 def params(lam, rho=1.0, sigma=0.0):

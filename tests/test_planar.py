@@ -16,6 +16,13 @@ P_GEN = validate_params(1.0, 0.5, 0.8, 0.6)
 ALL_KINDS = ["B", "W", "V"]
 
 
+def skorokhod_gap_local_time(path):
+    """2 L(t) of the difference via the reflection running-max formula,
+    driven by the gap noise reconstructed from the stored increments."""
+    return bangbang.skorokhod_local_time_series(path.y_values, planar.gap_driver_increments(path),
+                                                path.times, path.params.lam)
+
+
 def _kind(label, p):
     """A named system, or for "custom" a dense square root at non-quarter angles."""
     return classifier.build_config(p, -1, 1, 1.2, -0.4) if label == "custom" else label
@@ -245,7 +252,7 @@ def test_skorokhod_running_max_formula_order():
             path = planar.euler_simulate("B", P_DEG, InitialState(0.3, 0.0),
                                          1.0, n_steps, SeedSpec(seed, i))
             two_l = 2.0 * path.local_time()[-1]
-            sko = planar.skorokhod_gap_local_time(path)[-1]
+            sko = skorokhod_gap_local_time(path)[-1]
             gaps.append(two_l - sko)
         return float(np.sqrt(np.mean(np.square(gaps))))
 
@@ -262,7 +269,7 @@ def test_skorokhod_local_time_of_custom_and_skew_paths(make):
                                      P_GEN, s0, 1.0, 2000, SeedSpec(59))
     else:
         path = planar.skew_construct(P_GEN, s0, *_skew_inputs(P_GEN, s0))
-    two_l = planar.skorokhod_gap_local_time(path)
+    two_l = skorokhod_gap_local_time(path)
     assert two_l.shape == path.times.shape
     assert np.all(np.isfinite(two_l)) and two_l[0] == 0.0
     assert np.all(np.diff(two_l) >= 0) and two_l[-1] > 0
@@ -301,7 +308,7 @@ def _sha256(arrays):
 _PATH_READERS = {
     "gapdriver": planar.gap_driver_increments,
     "sumnoise": lambda path: np.concatenate([[0.0], np.cumsum(planar.sum_driver_increments(path))]),
-    "skorokhod": planar.skorokhod_gap_local_time,
+    "skorokhod": skorokhod_gap_local_time,
 }
 
 
