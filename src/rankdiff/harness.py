@@ -172,18 +172,36 @@ def gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def grid_values(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
-    """f(a[:, None], b[None, :]) for an elementwise f, evaluated over row
-    blocks of about BLOCK_CELLS cells into one float64 array.
-
-    Exact: each cell depends only on its own (a_i, b_j), so the blocks give
-    the whole-grid values, while f's temporaries stay the size of a block.
-    """
-    out = np.empty((len(a), len(b)))
+def grid_blocks(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray):
+    """(i, f(a[i:i + rows, None], b[None, :])) over row blocks of about
+    BLOCK_CELLS cells, so f's temporaries stay the size of a block."""
     rows = max(1, BLOCK_CELLS // max(len(b), 1))
     for i in range(0, len(a), rows):
-        out[i:i + rows] = f(a[i:i + rows, None], b[None, :])
+        yield i, f(a[i:i + rows, None], b[None, :])
+
+
+def grid_blocks(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray):
+    """(rows, f(a[rows, None], b[None, :])) for row slices of about
+    BLOCK_CELLS cells, so f's temporaries stay the size of a block."""
+    step = max(1, BLOCK_CELLS // max(len(b), 1))
+    for i in range(0, len(a), step):
+        rows = slice(i, i + step)
+        yield rows, f(a[rows, None], b[None, :])
+
+
+def grid_values(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """f(a[:, None], b[None, :]) for an elementwise f, its grid_blocks
+    written into one float64 array.
+
+    Exact: each cell depends only on its own (a_i, b_j), so the blocks give
+    the whole-grid values.
+    """
+    out = np.empty((len(a), len(b)))
+    for rows, block in grid_blocks(f, a, b):
+        out[rows] = block
     return out
 
 

@@ -28,8 +28,8 @@ import numpy as np
 from . import bangbang, classifier, densities, planar, timereversal
 from .core import (BLOCK_CELLS, NORMALIZATION_TOL, InitialState, ModelParams, ParameterError,
                    SeedSpec, validate_params)
-from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, grid_values,
-                      ks_statistic, ks_two_sample, pmap_batches)
+from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, grid_blocks,
+                      grid_values, ks_statistic, ks_two_sample, pmap_batches)
 
 # stream id blocks per check, so adding draws to one never shifts another
 _STREAMS = {
@@ -245,9 +245,12 @@ def _fine_grid_marginals(p, s0, t, lo1, hi1, lo2, hi2):
     c1 = (g1[1:] + g1[:-1]) / 2
     c2 = (g2[1:] + g2[:-1]) / 2
     h1, h2 = g1[1] - g1[0], g2[1] - g2[0]
-    vals = grid_values(lambda a, b: densities.planar_density(p, s0, t, a, b), c1, c2)
-    m1 = vals.sum(axis=1) * h2
-    m2 = vals.sum(axis=0) * h1
+    m1, m2 = np.empty(len(c1)), None
+    for rows, vals in grid_blocks(lambda a, b: densities.planar_density(p, s0, t, a, b), c1, c2):
+        m1[rows] = vals.sum(axis=1)
+        # an axis-0 sum adds rows in sequence: carrying m2 as the first row continues the grid's sum
+        m2 = vals.sum(axis=0) if m2 is None else np.concatenate([m2[None], vals]).sum(axis=0)
+    m1, m2 = m1 * h2, m2 * h1
     atoms1, atoms2 = [], []
     atom = densities.planar_atom(p, s0, t)
     if atom is not None:

@@ -3,9 +3,10 @@
 Each budget is the peak measured when the row blocks went in (Python 3.11,
 numpy 2.4), rounded up by about 12%.  The whole-array code they replaced
 peaked at 77 MB (Tanaka), 96 MB (Skorokhod), 58 MB (normalization) and
-28 MB (cell masses); the local-time check peaked at 69.5 MB while its
-reversal rows kept the unread dW alive, and at 59.8 MB while its scans built
-whole matrices to read one or two rows.  The classifier sweep and the
+28 MB (cell masses); the sampler check peaked at 41.9 MB while its marginal
+tables held the whole 1,999 x 1,999 density grid; the local-time check
+peaked at 69.5 MB while its reversal rows kept the unread dW alive, and at
+59.8 MB while its scans built whole matrices to read one or two rows.  The classifier sweep and the
 Chapman-Kolmogorov quadrature run as arrays; their budgets guard those
 arrays.  Never loosen a budget to make it pass.
 """
@@ -51,6 +52,11 @@ def test_skorokhod_scan_peak_is_its_output(batch):
 def test_normalization_check_peak():
     _, peak = traced_peak(validation.check_normalization)
     assert peak < 16 * MB  # measured 13.8 MB
+
+
+def test_sampler_check_peak():
+    _, peak = traced_peak(lambda: validation.check_sampler_vs_density(SeedSpec(20240601).stream(10_000)))
+    assert peak < 16 * MB  # measured 14.5 MB
 
 
 def test_local_time_check_peak():

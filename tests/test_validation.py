@@ -1,14 +1,16 @@
 """The battery's exact checks as array programs: the classifier sweep of
 criteria 1 and 2 and the batched Chapman-Kolmogorov quadrature of criterion
-4 against the per-configuration and per-xi code they replaced."""
+4 against the per-configuration and per-xi code they replaced, and the row
+blocks of criterion 5's marginal tables against the whole grid."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rankdiff import bangbang, classifier, validation
+from rankdiff import bangbang, classifier, densities, validation
 from rankdiff.core import ParameterError, SeedSpec, validate_params
+from rankdiff.harness import grid_values
 
 
 def loop_draws(rng, n):
@@ -123,3 +125,22 @@ def test_batched_convolutions_equal_the_per_xi_quadratures():
                     n += 1
     assert n == 252
     assert validation.check_chapman_kolmogorov()[0].statistic == 6.217248937900877e-14
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_blocked_marginals_equal_the_whole_grid_sums(case):
+    _, p, s0 = validation._sampler_cases()[case]
+    (g1, cdf1, atoms1), (g2, cdf2, atoms2) = validation._fine_grid_marginals(
+        p, s0, 1.0, -4.0, 5.0, -5.0, 4.5)
+    c1, c2 = (g1[1:] + g1[:-1]) / 2, (g2[1:] + g2[:-1]) / 2
+    vals = grid_values(lambda a, b: densities.planar_density(p, s0, 1.0, a, b), c1, c2)
+    m1, m2 = vals.sum(axis=1) * (g2[1] - g2[0]), vals.sum(axis=0) * (g1[1] - g1[0])
+    atom = densities.planar_atom(p, s0, 1.0)
+    if atom is not None:
+        if atom.axis == "x2":
+            m1 = m1 + atom.density(c1)
+        else:
+            m2 = m2 + atom.density(c2)
+    assert len(atoms1) + len(atoms2) == (atom is not None)
+    assert cdf1.tobytes() == np.concatenate([[0.0], np.cumsum(m1 * (g1[1] - g1[0]))]).tobytes()
+    assert cdf2.tobytes() == np.concatenate([[0.0], np.cumsum(m2 * (g2[1] - g2[0]))]).tobytes()
