@@ -163,21 +163,25 @@ def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
 # general unequal-variance density (gamma > 0, y >= 0)
 # ---------------------------------------------------------------------------
 
-def _psi_side_term(lam, t, y, delta, kappa, a, theta_star):
+def _psi_side_term(lam, t, y, gam, delta, a, theta_star):
     """Closed form of the one-sided noise integral of f1 along the fiber
     b(theta) = (2/gamma) (rho sigma theta - ...), for fixed gap size a > 0.
 
-    Exact Gaussian algebra; C - delta^2 B^2 >= 0 by Cauchy-Schwarz, so the
-    exponentials cannot overflow.
+    Exact Gaussian algebra.  With B = (gamma/delta) theta* + alpha - lam t and
+    C = theta*^2 + (alpha - lam t)^2, the exponent C - delta^2 B^2 is written
+    as the square it equals, since gamma^2 + delta^2 = 1:
+    (delta theta* - gamma (alpha - lam t))^2.  Formed by subtraction it
+    cancels to a negative number when rho sigma is tiny (theta* then runs to
+    about 1e10) and exp overflows; the square cannot.
     """
     alpha = a + y
-    B = kappa * theta_star + alpha - lam * t
+    B = gam / delta * theta_star + alpha - lam * t
     C = theta_star**2 + (alpha - lam * t) ** 2
     term1 = delta * t * np.exp(-C / (2.0 * t))
     term2 = (
         (alpha - delta**2 * B)
         * np.sqrt(2.0 * np.pi * t)
-        * np.exp(-(C - delta**2 * B**2) / (2.0 * t))
+        * np.exp(-((delta * theta_star - gam * (alpha - lam * t)) ** 2) / (2.0 * t))
         * norm_sf(delta * B / np.sqrt(t))
     )
     return np.exp(-2.0 * lam * a) / (np.pi * t**2) * (term1 + term2)
@@ -200,14 +204,13 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     rs = p.rho * p.sigma
     r2, s2 = p.rho**2, p.sigma**2
     delta = p.mixing_delta
-    kappa = gam / delta
     out = np.zeros(psi1.shape, dtype=float)
 
     a_plus = y + psi1 - psi2
     m = a_plus > 0
     if np.any(m):
         th = (s2 * psi1[m] + r2 * psi2[m]) / rs
-        out[m] += _psi_side_term(lam, t, y, delta, kappa, a_plus[m], th)
+        out[m] += _psi_side_term(lam, t, y, gam, delta, a_plus[m], th)
         if y > 0:
             out[m] += quadrivariate_atom_density(p, y, t, a_plus[m], th) / rs
 
@@ -215,7 +218,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     m = a_minus > 0
     if np.any(m):
         th = (r2 * psi1[m] + s2 * psi2[m] + gam * y) / rs
-        out[m] += _psi_side_term(lam, t, y, delta, kappa, a_minus[m], th)
+        out[m] += _psi_side_term(lam, t, y, gam, delta, a_minus[m], th)
     return scalar_or_array(out, *args)
 
 
