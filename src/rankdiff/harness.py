@@ -174,15 +174,6 @@ def gl_points(lo: float, hi: float, n_panels: int, order: int = 24,
 
 def grid_blocks(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray):
-    """(i, f(a[i:i + rows, None], b[None, :])) over row blocks of about
-    BLOCK_CELLS cells, so f's temporaries stay the size of a block."""
-    rows = max(1, BLOCK_CELLS // max(len(b), 1))
-    for i in range(0, len(a), rows):
-        yield i, f(a[i:i + rows, None], b[None, :])
-
-
-def grid_blocks(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
-                b: np.ndarray):
     """(rows, f(a[rows, None], b[None, :])) for row slices of about
     BLOCK_CELLS cells, so f's temporaries stay the size of a block."""
     step = max(1, BLOCK_CELLS // max(len(b), 1))
