@@ -332,8 +332,8 @@ P_ISO_SAME_RATES = validate_params(1.0, 0.5, 1 / math.sqrt(2), 1 / math.sqrt(2),
 
 @pytest.mark.parametrize("g,h,start", [(1e-8, 1e-8, (0.0, 1e-9)), (1e-8, 1.0, (0.0, 30.0))])
 def test_unequal_density_finite_near_the_degenerate_limit(g, h, start):
-    # rho sigma ~ 1e-9: the side term's exponent used to cancel to a negative
-    # number and overflow exp, returning inf and NaN
+    # rho sigma ~ 1e-9: the side term's exponent, formed by subtraction,
+    # cancels to a negative number here and overflows exp (inf and NaN)
     p = validate_params(g, h, 1e-9, math.sqrt(1 - 1e-18))
     xi = SeedSpec(20240601).generator().normal(0.0, 10.0, (2, 2000))
     with warnings.catch_warnings():

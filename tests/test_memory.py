@@ -6,9 +6,9 @@ peaked at 77 MB (Tanaka), 96 MB (Skorokhod), 58 MB (normalization) and
 28 MB (cell masses); the sampler check peaked at 41.9 MB while its marginal
 tables held the whole 1,999 x 1,999 density grid; the local-time check
 peaked at 69.5 MB while its reversal rows kept the unread dW alive, and at
-59.8 MB while its scans built whole matrices to read one or two rows.  The classifier sweep and the
-Chapman-Kolmogorov quadrature run as arrays; their budgets guard those
-arrays.  Never loosen a budget to make it pass.
+59.8 MB while its scans built whole matrices to read one or two rows.  The
+classifier sweep and the Chapman-Kolmogorov quadrature run as arrays; their
+budgets guard those arrays.  Never loosen a budget to make it pass.
 """
 
 import tracemalloc
