@@ -96,13 +96,28 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """The config of a JSON document: a full one (to_json) or any subset,
-        such as the bare parameter document {g, h, rho, sigma, x1, x2, seed}."""
+        such as the bare parameter document {g, h, rho, sigma, x1, x2, seed}.
+        Each value has its field's type (an integer serves as a float, a bool
+        as neither) and fmt is csv or json; else ParameterError names the key."""
         data = json.loads(text)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ParameterError("a config document must be a JSON object")
+        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in data.items():
+            allowed, what = _JSON_KINDS[kinds[key]]
+            if isinstance(val, bool) or not isinstance(val, allowed):
+                raise ParameterError(f"config key {key!r} must be {what}, got {val!r}")
+        if data.get("fmt", "csv") not in ("csv", "json"):
+            raise ParameterError(f"config key 'fmt' must be 'csv' or 'json', got {data['fmt']!r}")
         return cls(**data)
+
+
+# the JSON values each field type of ExperimentConfig accepts, by its default's type
+_JSON_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
+               type(None): ((str, type(None)), "a string or null")}
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,24 @@ def test_param_document_round_trip():
         ExperimentConfig.from_json(json.dumps({"gh": 1.0}))
 
 
+@pytest.mark.parametrize("text,match", [
+    ("[1, 2]", "JSON object"), ('"g"', "JSON object"), ("null", "JSON object"),
+    ('{"steps": "ten"}', "'steps'"), ('{"steps": true}', "'steps'"), ('{"steps": 10.0}', "'steps'"),
+    ('{"paths": 1.5}', "'paths'"), ('{"seed": "7"}', "'seed'"), ('{"workers": false}', "'workers'"),
+    ('{"rho": "1"}', "'rho'"), ('{"g": true}', "'g'"), ('{"horizon": null}', "'horizon'"),
+    ('{"scale": [1]}', "'scale'"), ('{"out_dir": 3}', "'out_dir'"), ('{"command": 1}', "'command'"),
+    ('{"fmt": "xml"}', "'fmt'"), ('{"fmt": 1}', "'fmt'"),
+])
+def test_config_document_of_the_wrong_shape_names_the_key(text, match):
+    with pytest.raises(ParameterError, match=match):
+        ExperimentConfig.from_json(text)
+
+
+def test_config_document_integers_serve_as_floats():
+    cfg = ExperimentConfig.from_json('{"g": 2, "horizon": 1, "steps": 10, "out_dir": null, "fmt": "json"}')
+    assert cfg == ExperimentConfig(g=2.0, horizon=1.0, steps=10, fmt="json")
+
+
 # ---------------------------------------------------------------------------
 # deterministic parallel map
 # ---------------------------------------------------------------------------
