@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: simulate | sample | density | classify | reverse | validate | tanaka.
-Shared flags: --config <json>, --seed, --out-dir, --format.  Exit codes:
-0 on success, 1 on validation failure, 2 on usage error.
+Shared flags: --config <json>, --seed, --out-dir, --format; each subcommand
+adds only the model flags its handler reads, so any other flag is a usage
+error.  Exit codes: 0 on success, 1 on validation failure, 2 on usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,20 +28,30 @@ USAGE_ERROR = 2
 VALIDATION_FAILURE = 1
 
 
-def _add_shared(sp):
+_MODEL_FLAGS = {  # dest: (flag, type, help)
+    "g": ("--g", float, "laggard drift rate (>= 0)"),
+    "h": ("--h", float, "leader drift rate (>= 0)"),
+    "rho": ("--rho", float, "leader volatility"),
+    "sigma": ("--sigma", float, "laggard volatility"),
+    "x1": ("--x1", float, "initial position of particle 1"),
+    "x2": ("--x2", float, "initial position of particle 2"),
+    "horizon": ("--T", float, "time horizon"),
+    "steps": ("--steps", int, "Euler steps"),
+    "paths": ("--paths", int, "number of paths / draws"),
+}
+
+
+def _add_parser(sub, name, help, model_flags=""):
+    """A subparser with the shared flags plus the model flags its handler reads."""
+    sp = sub.add_parser(name, help=help, allow_abbrev=False)  # else an unread --h is --help
     sp.add_argument("--config", help="JSON config file (full config or bare parameter document)")
     sp.add_argument("--seed", type=int, help="master seed")
     sp.add_argument("--out-dir", help="output directory (default: current)")
-    sp.add_argument("--format", choices=["csv", "json"], help="tabular output format")
-    sp.add_argument("--g", type=float, help="laggard drift rate (>= 0)")
-    sp.add_argument("--h", type=float, help="leader drift rate (>= 0)")
-    sp.add_argument("--rho", type=float, help="leader volatility")
-    sp.add_argument("--sigma", type=float, help="laggard volatility")
-    sp.add_argument("--x1", type=float, help="initial position of particle 1")
-    sp.add_argument("--x2", type=float, help="initial position of particle 2")
-    sp.add_argument("--T", type=float, dest="horizon", help="time horizon")
-    sp.add_argument("--steps", type=int, help="Euler steps")
-    sp.add_argument("--paths", type=int, help="number of paths / draws")
+    sp.add_argument("--format", choices=["csv", "json"], dest="fmt", help="tabular output format")
+    for dest in model_flags.split():
+        flag, kind, text = _MODEL_FLAGS[dest]
+        sp.add_argument(flag, type=kind, dest=dest, help=text)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Planar diffusion with rank-based coefficients")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="Euler path simulation with full export")
-    _add_shared(sp)
+    sp = _add_parser(sub, "simulate", "Euler path simulation with full export",
+                     "g h rho sigma x1 x2 horizon steps paths")
     sp.add_argument("--system", default="B", choices=["B", "W", "V", "custom", "gap"],
                     help="driving system; 'gap' simulates the one-dimensional difference only")
     sp.add_argument("--eps", type=int, default=1, help="custom root: sign of the upper block")
@@ -56,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", type=float, default=0.0, help="custom root: upper rotation angle")
     sp.add_argument("--vartheta", type=float, default=0.0, help="custom root: lower rotation angle")
 
-    sp = sub.add_parser("sample", help="exact terminal draws of (X1(t), X2(t))")
-    _add_shared(sp)
+    _add_parser(sub, "sample", "exact terminal draws of (X1(t), X2(t))",
+                "g h rho sigma x1 x2 horizon paths")
 
-    sp = sub.add_parser("density", help="closed-form density evaluation on a grid")
-    _add_shared(sp)
+    sp = _add_parser(sub, "density", "closed-form density evaluation on a grid",
+                     "g h rho sigma x1 x2 horizon")
     sp.add_argument("--law", default="joint", choices=["joint", "gap"],
                     help="planar joint law or one-dimensional gap law")
     sp.add_argument("--xi-min", type=float, default=None)
@@ -68,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi-n", type=int, default=121)
     sp.add_argument("--svg", help="also render an SVG heatmap to this path")
 
-    sp = sub.add_parser("classify", help="strength classification of square roots")
-    _add_shared(sp)
+    sp = _add_parser(sub, "classify", "strength classification of square roots", "g h rho sigma")
     sp.add_argument("--eps", type=int, help="sign of the upper block (+1/-1)")
     sp.add_argument("--delta", type=int, help="sign of the lower block (+1/-1)")
     sp.add_argument("--phi", type=float, help="upper rotation angle")
@@ -77,20 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--enumerate", action="store_true", dest="enumerate_roots",
                     help="classify all 64 diagonal/antidiagonal sign patterns")
 
-    sp = sub.add_parser("reverse", help="time-reversed gap diffusion")
-    _add_shared(sp)
+    sp = _add_parser(sub, "reverse", "time-reversed gap diffusion", "g h rho sigma horizon steps paths")
     sp.add_argument("--mode", default="transient", choices=["transient", "steady"])
     sp.add_argument("--lam", "--lambda", dest="lam", type=float,
                     help="total drift intensity (sets g = h = lam/2)")
     sp.add_argument("--y0", type=float, default=0.0, help="forward start of the gap process")
 
-    sp = sub.add_parser("validate", help="run the acceptance battery")
-    _add_shared(sp)
-    sp.add_argument("--workers", type=int, default=1, help="worker threads (output-invariant)")
-    sp.add_argument("--scale", type=float, default=1.0, help="Monte Carlo size multiplier")
+    sp = _add_parser(sub, "validate", "run the acceptance battery")
+    sp.add_argument("--workers", type=int, help="worker threads (output-invariant; default 1)")
+    sp.add_argument("--scale", type=float, help="Monte Carlo size multiplier (default 1)")
 
-    sp = sub.add_parser("tanaka", help="coalescence experiment for the perturbed sign equation")
-    _add_shared(sp)
+    sp = _add_parser(sub, "tanaka", "coalescence experiment for the perturbed sign equation", "horizon")
     sp.add_argument("--drive", default="perturbed", choices=["perturbed", "plain"])
     sp.add_argument("--f", default="sign", choices=["sign", "constant"], dest="f_kind")
     sp.add_argument("--dts", default="4e-3,1e-3,2.5e-4", help="comma-separated step sizes")
@@ -99,17 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args) -> ExperimentConfig:
+    """The run's config: the --config document, overridden by the flags given."""
     cfg = ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json(fh.read())
-    for name in ("command", "g", "h", "rho", "sigma", "x1", "x2", "seed", "horizon", "steps",
-                 "paths", "out_dir", "workers", "scale"):
-        val = getattr(args, name, None)
+    for field in dataclasses.fields(cfg):
+        val = getattr(args, field.name, None)
         if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
+            setattr(cfg, field.name, val)
     if cfg.out_dir is None:
         cfg.out_dir = "."
     return cfg
@@ -136,8 +142,7 @@ def _emit_table(cfg, name, columns, rows, meta=None):
     return path
 
 
-def cmd_simulate(args) -> int:
-    cfg = _build_config(args)
+def cmd_simulate(cfg, args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
     seed = SeedSpec(cfg.seed)
@@ -164,21 +169,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _build_config(args)
+def cmd_sample(cfg, args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
     draws = planar.exact_sample_terminal(p, s0, cfg.horizon, cfg.paths, SeedSpec(cfg.seed))
     rows = np.column_stack([draws.x1, draws.x2])
     path = _emit_table(cfg, "terminal_draws", ["x1", "x2"], rows,
-                       {"t": cfg.horizon, "seed": cfg.seed,
-                        "atom_fraction": draws.atom_fraction})
+                       {"t": cfg.horizon, "seed": cfg.seed, "atom_fraction": draws.atom_fraction})
     print(path)
     return 0
 
 
-def cmd_density(args) -> int:
-    cfg = _build_config(args)
+def cmd_density(cfg, args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
     t = cfg.horizon
@@ -194,8 +196,7 @@ def cmd_density(args) -> int:
         return 0
     hw = abs(s0.y) + p.lam * t + 4 * math.sqrt(t)
     center1, center2 = s0.x1 + p.mu * t, s0.x2 + p.mu * t
-    lo = args.xi_min
-    hi = args.xi_max
+    lo, hi = args.xi_min, args.xi_max
     xi1 = np.linspace(lo if lo is not None else center1 - hw,
                       hi if hi is not None else center1 + hw, args.xi_n)
     xi2 = np.linspace(lo if lo is not None else center2 - hw,
@@ -226,8 +227,7 @@ def cmd_density(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = _build_config(args)
+def cmd_classify(cfg, args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     cols = ["eps", "delta", "phi", "vartheta", "strong", "ip_sum_norm", "weak_scalar", "geom_defect"]
 
@@ -252,8 +252,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_reverse(args) -> int:
-    cfg = _build_config(args)
+def cmd_reverse(cfg, args) -> int:
     if args.lam is not None:
         cfg.g = cfg.h = args.lam / 2.0
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
@@ -279,8 +278,7 @@ def cmd_reverse(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = _build_config(args)
+def cmd_validate(cfg, args) -> int:
     reports = run_validation_suite(cfg)
     cols, rows = reports_to_rows(reports)
     path = _emit_table(cfg, "validation_reports", cols, rows,
@@ -295,8 +293,7 @@ def cmd_validate(args) -> int:
     return 0 if n_fail == 0 else VALIDATION_FAILURE
 
 
-def cmd_tanaka(args) -> int:
-    cfg = _build_config(args)
+def cmd_tanaka(cfg, args) -> int:
     try:
         dts = [float(x) for x in args.dts.split(",") if x]
     except ValueError:
@@ -326,10 +323,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](_build_config(args), args)
     except (ParameterError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"rankdiff {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rankdiff.cli import main
+from rankdiff.cli import build_parser, main
 from rankdiff.harness import ExperimentConfig
 
 
@@ -152,6 +153,74 @@ def test_argparse_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["density", "--law", "nonsense"])
     assert exc.value.code == 2
+
+
+SHARED = ["--config", "--seed", "--out-dir", "--format"]
+MODEL = ["--g", "--h", "--rho", "--sigma", "--x1", "--x2", "--T", "--steps", "--paths"]
+# each subcommand's options: the shared four, the model flags its handler reads, its own
+OPTIONS = {
+    "simulate": SHARED + MODEL + ["--system", "--eps", "--delta", "--phi", "--vartheta"],
+    "sample": SHARED + ["--g", "--h", "--rho", "--sigma", "--x1", "--x2", "--T", "--paths"],
+    "density": SHARED + ["--g", "--h", "--rho", "--sigma", "--x1", "--x2", "--T",
+                         "--law", "--xi-min", "--xi-max", "--xi-n", "--svg"],
+    "classify": SHARED + ["--g", "--h", "--rho", "--sigma",
+                          "--eps", "--delta", "--phi", "--vartheta", "--enumerate"],
+    "reverse": SHARED + ["--g", "--h", "--rho", "--sigma", "--T", "--steps", "--paths",
+                         "--mode", "--lam", "--y0"],
+    "validate": SHARED + ["--workers", "--scale"],
+    "tanaka": SHARED + ["--T", "--drive", "--f", "--dts", "--reps"],
+}
+
+
+def subparser_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[0] for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+            for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    got = subparser_options()
+    assert {name: sorted(opts) for name, opts in got.items()} == \
+        {name: sorted(opts) for name, opts in OPTIONS.items()}
+    assert sum(len(opts) for opts in got.values()) == 88  # 115 when every subcommand took MODEL
+    assert len(UNREAD) == 27
+
+
+# the 27 (subcommand, model flag) pairs that were parsed and then dropped; "--h" once
+# also matched --help as an abbreviation
+UNREAD = [[cmd, flag, "1"] for cmd in OPTIONS for flag in MODEL if flag not in OPTIONS[cmd]]
+
+
+@pytest.mark.parametrize("argv", UNREAD + [["validate", "--g", "0", "--h", "0"]], ids=" ".join)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("doc", [{"steps": "ten"}, {"steps": True}, {"fmt": "xml"}, {"rho": "1"}, [1, 2]])
+def test_config_document_of_the_wrong_shape_is_usage_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run(["simulate", "--config", str(bad), "--steps", "5", "--out-dir", str(out)])
+    assert code == 2
+    assert "rankdiff simulate:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_reads_scale_and_workers_from_the_config_document(tmp_path, monkeypatch):
+    from rankdiff import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_validation_suite", lambda cfg: seen.append(cfg) or [])
+    doc = tmp_path / "battery.json"
+    doc.write_text(json.dumps({"scale": 0.002, "workers": 2, "seed": 9}))
+    assert run(["validate", "--config", str(doc), "--out-dir", str(tmp_path)]) == 0
+    assert run(["validate", "--config", str(doc), "--workers", "3", "--out-dir", str(tmp_path)]) == 0
+    assert [(c.scale, c.workers, c.seed) for c in seen] == [(0.002, 2, 9), (0.002, 3, 9)]
 
 
 def test_validate_quick_pass_fail_and_fault_injection(tmp_path, capsys, monkeypatch):
