@@ -61,7 +61,7 @@ def test_origin_closed_form_agrees_with_analytic_derivative():
     xi = np.concatenate([-np.linspace(0.05, 4, 60), np.linspace(0.05, 4, 60)])
     for tau in (0.3, 1.0, 4.0):
         closed = timereversal.q_closed_form_origin(P2, tau, xi)
-        generic = timereversal.q_function(P2, 0.0, tau, xi, check_closed_form=False)
+        generic = timereversal.q_function(P2, 0.0, tau, xi)
         np.testing.assert_allclose(closed, generic, rtol=1e-8)
 
 
@@ -93,7 +93,7 @@ def test_origin_closed_forms_finite_where_plain_terms_underflow():
     # at xi = 20, tau = 0.1 both terms of the plain ratio underflow to 0
     xi = np.array([-40.0, -20.0, 20.0, 40.0])
     closed = timereversal.q_closed_form_origin(P2, 0.1, xi)
-    generic = timereversal.q_function(P2, 0.0, 0.1, xi, check_closed_form=False)
+    generic = timereversal.q_function(P2, 0.0, 0.1, xi)
     np.testing.assert_allclose(closed, generic, rtol=1e-10)
     disp = timereversal.backward_drift_display_origin(P2, 0.1, xi[2:])
     np.testing.assert_allclose(disp, timereversal.backward_drift(P2, 0.0, 0.1, xi[2:]), rtol=1e-10)
@@ -105,11 +105,17 @@ def test_origin_check_holds_where_a_plain_term_is_subnormal():
     # about one digit; the plain ratio then disagreed with the score by 1.9e-3
     q = timereversal.q_function(params(36.27), 0.0, 0.5365, -10.24)
     assert abs(q / (2 * 36.27) - 1.0) <= 1e-6
+    worst = 0.0
     for lam in np.geomspace(1e-3, 50.0, 40):
         p = params(lam)
         for tau in np.geomspace(1e-5, 100.0, 40):
-            hw = lam * tau + 20.0 * math.sqrt(tau)  # the window the check covers
-            assert np.all(np.isfinite(timereversal.q_function(p, 0.0, tau, np.linspace(-hw, hw, 401))))
+            hw = lam * tau + 20.0 * math.sqrt(tau)  # the window where the plain display is well-scaled
+            xi = np.linspace(-hw, hw, 401)
+            q = timereversal.q_function(p, 0.0, tau, xi)
+            ref = timereversal.q_closed_form_origin(p, tau, xi)
+            assert np.all(np.isfinite(q))
+            worst = max(worst, np.max(np.abs(q - ref) / np.maximum(np.abs(ref), 1e-300)))
+    assert worst <= 1e-8
 
 
 def test_origin_display_matches_generic_on_positive_side_only():
