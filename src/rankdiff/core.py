@@ -82,9 +82,9 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "lam", self.g + self.h)
         object.__setattr__(self, "nu", self.g - self.h)
-        object.__setattr__(self, "gamma", self.rho**2 - self.sigma**2)
+        object.__setattr__(self, "gamma", self.rho * self.rho - self.sigma * self.sigma)
         object.__setattr__(self, "mixing_delta", 2.0 * self.rho * self.sigma)
-        object.__setattr__(self, "mu", self.g * self.rho**2 - self.h * self.sigma**2)
+        object.__setattr__(self, "mu", self.g * (self.rho * self.rho) - self.h * (self.sigma * self.sigma))
 
     @property
     def is_isotropic(self) -> bool:
@@ -116,13 +116,13 @@ def validate_params(g, h, rho, sigma, renormalize: bool = False) -> ModelParams:
         raise ParameterError("g+h>0 violated")
     if rho < 0 or sigma < 0:
         raise ParameterError("volatilities must be nonnegative: rho >= 0, sigma >= 0")
-    norm2 = rho**2 + sigma**2
+    norm2 = rho * rho + sigma * sigma  # x * x, as the classifier's array sweep squares
     if renormalize:
         if norm2 <= 0:
             raise ParameterError("cannot renormalize rho = sigma = 0")
         r = math.sqrt(norm2)
         rho, sigma = rho / r, sigma / r
-        norm2 = rho**2 + sigma**2
+        norm2 = rho * rho + sigma * sigma
     if abs(norm2 - 1.0) > NORMALIZATION_TOL:
         raise ParameterError(
             f"normalization rho^2+sigma^2=1 violated (got {norm2!r}); "
