@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 from scipy.special import chdtrc
@@ -94,11 +94,11 @@ class ExperimentConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        """The config of a JSON document: a full one (to_json) or any subset,
-        such as the bare parameter document {g, h, rho, sigma, x1, x2, seed}.
-        Each value has its field's type (an integer serves as a float, a bool
-        as neither) and fmt is csv or json; else ParameterError names the key."""
+    def from_json(cls, text: str, **defaults) -> "ExperimentConfig":
+        """The config of a JSON document, a full one (to_json) or any subset such
+        as {g, h, rho, sigma, x1, x2, seed}, with `defaults` for the rest.  Each
+        value has its field's type (an integer serves as a float, a bool as
+        neither) and fmt is csv or json; else ParameterError names the key."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ParameterError("a config document must be a JSON object")
@@ -112,7 +112,7 @@ class ExperimentConfig:
                 raise ParameterError(f"config key {key!r} must be {what}, got {val!r}")
         if data.get("fmt", "csv") not in ("csv", "json"):
             raise ParameterError(f"config key 'fmt' must be 'csv' or 'json', got {data['fmt']!r}")
-        return cls(**data)
+        return cls(**{**defaults, **data})
 
 
 # the JSON values each field type of ExperimentConfig accepts, by its default's type
@@ -399,8 +399,8 @@ def _g17_decimal(ax: np.ndarray):
 
 
 def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
-    """("%.17g" of each cell, each followed by "," or, where ends_row, "\\n",
-    as a uint8 view into `work`; the number of cells formatted without `%`).
+    """The "%.17g" of each cell, each followed by "," or, where ends_row,
+    "\\n", as a uint8 view into `work`.
 
     `work` is (3, at least n _G17_WIDTH) uint8 scratch for the cell rows,
     their mask and the kept bytes, allocated once per table: allocating
@@ -463,13 +463,12 @@ def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
         length = np.fromiter(map(len, text), np.intp, fb.size)
         out[fb, length] = np.where(ends_row[fb], 10, 44)
         keep[fb] = np.arange(_G17_WIDTH) <= length[:, None]
-    return np.compress(keep.ravel(), out.ravel(), out=work[2, :np.count_nonzero(keep)]), n - fb.size
+    return np.compress(keep.ravel(), out.ravel(), out=work[2, :np.count_nonzero(keep)])
 
 
 def _float_body(rows: np.ndarray):
-    """(body, fast): the body of a 2-D float64 table with at least one
-    column as one "\\n"-joined string per block of CSV_BLOCK_ROWS rows, and
-    the number of cells the kernel formatted itself.
+    """The body of a 2-D float64 table with at least one column, yielded as
+    one string per block of CSV_BLOCK_ROWS rows, each ending in "\\n".
 
     Each cell is exactly "%.17g" % value, what format_cell gives a float:
     _g17_block certifies most cells and formats the rest with "%".
@@ -478,44 +477,41 @@ def _float_body(rows: np.ndarray):
     cap = min(n_rows, CSV_BLOCK_ROWS) * n_cols
     work = np.empty((3, cap * _G17_WIDTH), np.uint8)
     ends_row = np.tile(np.arange(n_cols) == n_cols - 1, cap // n_cols).astype(np.intp)
-    blocks, fast = [], 0
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
         block = rows[start:start + CSV_BLOCK_ROWS].ravel()
-        body, k = _g17_block(block, ends_row[:block.size], work)
-        blocks.append(codecs.ascii_decode(body[:-1])[0])
-        fast += k
-    return blocks, fast
+        yield codecs.ascii_decode(_g17_block(block, ends_row[:block.size], work))[0]
 
 
-def open_output(path: str):
-    """path opened for writing UTF-8 text with LF line ends, its directory
-    made first: the one opener of every file the package writes."""
+def write_text(path: str, parts: Iterable[str]) -> str:
+    """Write each part to `path` as it is made and return the file's text,
+    the one join of the parts: the writer of every file the package writes,
+    UTF-8 with LF line ends, its directory made first.  Each part is whole
+    lines ending in "\\n", so the text is never copied to end or encode it."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    kept = []
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for part in parts:
+            fh.write(part)
+            kept.append(part)
+    return "".join(kept)
 
 
 def write_csv(path: str, name: str, columns: Sequence[str], rows, meta: Optional[dict] = None) -> str:
-    """Write a versioned CSV; deterministic formatting, byte-stable.
-
-    `rows` is an iterable of rows, or a 2-D float64 array, whose body is
-    formatted in blocks of CSV_BLOCK_ROWS rows by a vectorised kernel with
-    the same bytes as "%.17g" per cell.  The kernel keeps a cell's 17 digits
-    only where the two roundings of its long-double scaling, together at
-    most 2 epsneg 1e17 ~ 0.011, cannot change them (_g17_decimal); NaN,
-    +-inf, near-ties and decade edges fall back to "%" (_g17_block).
-    """
-    lines = []
+    """Write a versioned CSV a row or block at a time and return its text;
+    deterministic formatting, byte-stable.  `rows` is an iterable of rows, or
+    a 2-D float64 array, whose body is formatted in blocks of CSV_BLOCK_ROWS
+    rows by a vectorised kernel with the same bytes as "%.17g" per cell.  The
+    kernel keeps a cell's 17 digits only where the two roundings of its
+    long-double scaling, together at most 2 epsneg 1e17 ~ 0.011, cannot change
+    them (_g17_decimal); NaN, +-inf, near-ties and decade edges fall back to
+    "%" (_g17_block)."""
     meta_str = "".join(f" {k}={format_cell(v)}" for k, v in (meta or {}).items())
-    lines.append(f"# {CSV_FORMAT_VERSION} table={name}{meta_str}")
-    lines.append(",".join(columns))
+    head = f"# {CSV_FORMAT_VERSION} table={name}{meta_str}\n{','.join(columns)}\n"
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64 and rows.shape[1]:
-        lines.extend(_float_body(rows)[0])
+        body = _float_body(rows)
     else:
-        lines.extend(",".join(format_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    with open_output(path) as fh:
-        fh.write(text)
-    return text
+        body = (",".join(format_cell(v) for v in row) + "\n" for row in rows)
+    return write_text(path, itertools.chain([head], body))
 
 
 def reports_to_rows(reports: Sequence[GofReport]):

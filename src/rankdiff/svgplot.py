@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import DensityGrid
-from .harness import open_output
+from .harness import write_text
 
 # coarse viridis anchors, interpolated linearly in RGB
 _VIRIDIS = np.array([
@@ -40,15 +40,16 @@ def _rects(x, y, w, h, rgb) -> str:
     fields = [None] * (5 * len(rgb))
     for k, col in enumerate((x, y, w, h, rgb)):
         fields[k::5] = col.tolist()
-    return "\n".join([_RECT] * len(rgb)) % tuple(fields)
+    return (_RECT + "\n") * len(rgb) % tuple(fields)
 
 
 def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
-    """Render a DensityGrid as a self-contained SVG document string."""
+def _svg_parts(grid: DensityGrid, title: str):
+    """The lines of the heatmap document, yielded a line or, for the heat
+    cells, one xi1 column of <rect>s at a time; each part ends in "\\n"."""
     width, height = 640, 480
     x0, y0, x1p, y1p = 70.0, 30.0, 540.0, 440.0
     bar_x0, bar_x1 = 565.0, 590.0
@@ -63,14 +64,12 @@ def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
     def sy(u):  # xi2 on the vertical axis, increasing upward
         return y1p - (u - xi2[0]) / (xi2[-1] - xi2[0]) * (y1p - y0)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n'
+           f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
     if title:
-        parts.append(f'<text x="{_fmt((x0 + x1p) / 2)}" y="20" font-size="14" '
-                     f'text-anchor="middle" font-family="monospace">{title}</text>')
+        yield (f'<text x="{_fmt((x0 + x1p) / 2)}" y="20" font-size="14" '
+               f'text-anchor="middle" font-family="monospace">{title}</text>\n')
     # cell centers own [midpoint, midpoint] rectangles
     xe = np.concatenate([[xi1[0]], (xi1[1:] + xi1[:-1]) / 2.0, [xi1[-1]]])
     ye = np.concatenate([[xi2[0]], (xi2[1:] + xi2[:-1]) / 2.0, [xi2[-1]]])
@@ -79,56 +78,58 @@ def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
     rgb = _colors(vals / vmax)
     n2 = len(xi2)
     for i in range(len(xi1)):  # one block of n2 cells per xi1 column
-        parts.append(_rects(np.full(n2, xa[i]), ya, np.full(n2, xb[i] - xa[i]), yb - ya, rgb[i]))
+        yield _rects(np.full(n2, xa[i]), ya, np.full(n2, xb[i] - xa[i]), yb - ya, rgb[i])
     # axes frame and min/max labels
-    parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1p - x0)}" '
-                 f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>')
-    parts.append(f'<text x="{_fmt(x0)}" y="{_fmt(y1p + 16)}" font-size="11" '
-                 f'font-family="monospace">{_fmt(xi1[0])}</text>')
-    parts.append(f'<text x="{_fmt(x1p)}" y="{_fmt(y1p + 16)}" font-size="11" '
-                 f'text-anchor="end" font-family="monospace">{_fmt(xi1[-1])}</text>')
-    parts.append(f'<text x="{_fmt(x0 - 6)}" y="{_fmt(y1p)}" font-size="11" '
-                 f'text-anchor="end" font-family="monospace">{_fmt(xi2[0])}</text>')
-    parts.append(f'<text x="{_fmt(x0 - 6)}" y="{_fmt(y0 + 10)}" font-size="11" '
-                 f'text-anchor="end" font-family="monospace">{_fmt(xi2[-1])}</text>')
+    yield (f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1p - x0)}" '
+           f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>\n'
+           f'<text x="{_fmt(x0)}" y="{_fmt(y1p + 16)}" font-size="11" '
+           f'font-family="monospace">{_fmt(xi1[0])}</text>\n'
+           f'<text x="{_fmt(x1p)}" y="{_fmt(y1p + 16)}" font-size="11" '
+           f'text-anchor="end" font-family="monospace">{_fmt(xi1[-1])}</text>\n'
+           f'<text x="{_fmt(x0 - 6)}" y="{_fmt(y1p)}" font-size="11" '
+           f'text-anchor="end" font-family="monospace">{_fmt(xi2[0])}</text>\n'
+           f'<text x="{_fmt(x0 - 6)}" y="{_fmt(y0 + 10)}" font-size="11" '
+           f'text-anchor="end" font-family="monospace">{_fmt(xi2[-1])}</text>\n')
     # vertical colorbar
     n_seg = 32
     k = np.arange(n_seg)
     ya = y1p - (k + 1) / n_seg * (y1p - y0)
     yb = y1p - k / n_seg * (y1p - y0)
-    parts.append(_rects(np.full(n_seg, bar_x0), ya, np.full(n_seg, bar_x1 - bar_x0), yb - ya,
-                        _colors((k + 0.5) / n_seg)))
-    parts.append(f'<rect x="{_fmt(bar_x0)}" y="{_fmt(y0)}" width="{_fmt(bar_x1 - bar_x0)}" '
-                 f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>')
-    parts.append(f'<text x="{_fmt(bar_x1)}" y="{_fmt(y1p + 16)}" font-size="11" '
-                 f'text-anchor="end" font-family="monospace">0</text>')
-    parts.append(f'<text x="{_fmt(bar_x1 + 4)}" y="{_fmt(y0 + 10)}" font-size="11" '
-                 f'font-family="monospace" text-anchor="end">{_fmt(vmax)}</text>')
+    yield _rects(np.full(n_seg, bar_x0), ya, np.full(n_seg, bar_x1 - bar_x0), yb - ya,
+                 _colors((k + 0.5) / n_seg))
+    yield (f'<rect x="{_fmt(bar_x0)}" y="{_fmt(y0)}" width="{_fmt(bar_x1 - bar_x0)}" '
+           f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>\n'
+           f'<text x="{_fmt(bar_x1)}" y="{_fmt(y1p + 16)}" font-size="11" '
+           f'text-anchor="end" font-family="monospace">0</text>\n'
+           f'<text x="{_fmt(bar_x1 + 4)}" y="{_fmt(y0 + 10)}" font-size="11" '
+           f'font-family="monospace" text-anchor="end">{_fmt(vmax)}</text>\n')
     # singular line overlay
     if grid.atom is not None and grid.atom.mass > 0:
         a = grid.atom
         if a.axis == "x2" and xi2[0] <= a.location <= xi2[-1]:
             yy = sy(a.location)
-            parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(yy)}" x2="{_fmt(x1p)}" y2="{_fmt(yy)}" '
-                         f'stroke="#ff2222" stroke-width="2" stroke-dasharray="6,3"/>')
-            parts.append(f'<text x="{_fmt(x1p - 4)}" y="{_fmt(yy - 5)}" font-size="11" fill="#ff2222" '
-                         f'text-anchor="end" font-family="monospace">atom mass {_fmt(a.mass)}</text>')
+            yield (f'<line x1="{_fmt(x0)}" y1="{_fmt(yy)}" x2="{_fmt(x1p)}" y2="{_fmt(yy)}" '
+                   f'stroke="#ff2222" stroke-width="2" stroke-dasharray="6,3"/>\n'
+                   f'<text x="{_fmt(x1p - 4)}" y="{_fmt(yy - 5)}" font-size="11" fill="#ff2222" '
+                   f'text-anchor="end" font-family="monospace">atom mass {_fmt(a.mass)}</text>\n')
         elif a.axis == "x1" and xi1[0] <= a.location <= xi1[-1]:
             xx = sx(a.location)
-            parts.append(f'<line x1="{_fmt(xx)}" y1="{_fmt(y0)}" x2="{_fmt(xx)}" y2="{_fmt(y1p)}" '
-                         f'stroke="#ff2222" stroke-width="2" stroke-dasharray="6,3"/>')
-            parts.append(f'<text x="{_fmt(xx + 5)}" y="{_fmt(y0 + 12)}" font-size="11" fill="#ff2222" '
-                         f'font-family="monospace">atom mass {_fmt(a.mass)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            yield (f'<line x1="{_fmt(xx)}" y1="{_fmt(y0)}" x2="{_fmt(xx)}" y2="{_fmt(y1p)}" '
+                   f'stroke="#ff2222" stroke-width="2" stroke-dasharray="6,3"/>\n'
+                   f'<text x="{_fmt(xx + 5)}" y="{_fmt(y0 + 12)}" font-size="11" fill="#ff2222" '
+                   f'font-family="monospace">atom mass {_fmt(a.mass)}</text>\n')
+    yield "</svg>\n"
+
+
+def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
+    """Render a DensityGrid as a self-contained SVG document string."""
+    return "".join(_svg_parts(grid, title))
 
 
 def emit_svg_heatmap(grid: DensityGrid, path: str, title: str = "") -> str:
-    """Write the heatmap SVG to `path`; byte-stable for fixed input."""
-    text = svg_heatmap_string(grid, title)
+    """Write the heatmap SVG to `path`, a column of cells at a time; returns
+    the document, byte-stable for fixed input."""
     try:
-        with open_output(path) as fh:
-            fh.write(text)
+        return write_text(path, _svg_parts(grid, title))
     except OSError as exc:
         raise OSError(f"failed to write SVG heatmap to {path!r}: {exc}") from exc
-    return text

@@ -223,6 +223,30 @@ def test_validate_reads_scale_and_workers_from_the_config_document(tmp_path, mon
     assert [(c.scale, c.workers, c.seed) for c in seen] == [(0.002, 2, 9), (0.002, 3, 9)]
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_scale_that_is_not_finite_and_positive_is_usage_error(tmp_path, capsys, scale, source):
+    if source == "flag":
+        args = ["--scale", str(scale)]
+    else:  # json writes NaN and Infinity, which json.loads reads back
+        (tmp_path / "doc.json").write_text(json.dumps({"scale": scale}))
+        args = ["--config", str(tmp_path / "doc.json")]
+    out = tmp_path / "out"
+    assert run(["validate"] + args + ["--out-dir", str(out)]) == 2
+    assert "rankdiff validate: scale must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_takes_paths_from_the_config_document_and_else_writes_one(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"paths": 3, "steps": 5}))
+    assert run(["simulate", "--config", str(doc), "--out-dir", str(tmp_path / "three")]) == 0
+    assert sorted(os.listdir(tmp_path / "three")) == [f"path_{i:03d}.csv" for i in range(3)]
+    doc.write_text(json.dumps({"steps": 5}))
+    assert run(["simulate", "--config", str(doc), "--out-dir", str(tmp_path / "one")]) == 0
+    assert os.listdir(tmp_path / "one") == ["path_000.csv"]
+
+
 def test_validate_quick_pass_fail_and_fault_injection(tmp_path, capsys, monkeypatch):
     from rankdiff import validation
 
@@ -275,7 +299,10 @@ def test_svg_golden_file(tmp_path):
     text = emit_svg_heatmap(grid, str(tmp_path / "heat.svg"), title="degenerate joint density")
     golden = os.path.join(os.path.dirname(__file__), "golden", "heatmap_4x4.svg")
     with open(golden, "rb") as fh:
-        assert fh.read() == text.encode("utf-8")
+        want = fh.read()
+    # the file is written a column at a time and the text joined apart from it
+    assert want == text.encode("utf-8")
+    assert want == (tmp_path / "heat.svg").read_bytes()
 
 
 def test_svg_empty_atom_has_no_overlay(tmp_path):

@@ -8,7 +8,10 @@ tables held the whole 1,999 x 1,999 density grid; the local-time check
 peaked at 69.5 MB while its reversal rows kept the unread dW alive, and at
 59.8 MB while its scans built whole matrices to read one or two rows.  The
 classifier sweep and the Chapman-Kolmogorov quadrature run as arrays; their
-budgets guard those arrays.  Never loosen a budget to make it pass.
+budgets guard those arrays.  The CSV and SVG writers write each part as it
+is made and keep one join of the text they return: about 2.0 times its
+length, where joining the whole text, ending it and encoding it whole took
+3.0 and 3.1 times.  Never loosen a budget to make it pass.
 """
 
 import tracemalloc
@@ -18,7 +21,8 @@ import pytest
 
 from rankdiff import bangbang, densities, validation
 from rankdiff.core import InitialState, SeedSpec, validate_params
-from rankdiff.harness import expected_cell_masses
+from rankdiff.harness import expected_cell_masses, write_csv
+from rankdiff.svgplot import emit_svg_heatmap
 
 MB = 1e6
 
@@ -80,3 +84,18 @@ def test_expected_cell_masses_peak_on_twenty_bins():
     masses, peak = traced_peak(lambda: expected_cell_masses(
         lambda a, b: densities.planar_density(p, s0, 1.0, a, b), e, e))
     assert masses.shape == (20, 20) and peak < 12 * MB  # measured 10.2 MB
+
+
+def test_write_csv_peak_is_about_two_copies_of_its_text(tmp_path):
+    table = np.random.default_rng(1).standard_normal((200_000, 2))
+    write_csv(str(tmp_path / "warm.csv"), "t", ["x1", "x2"], table[:10])  # the kernel's tables
+    text, peak = traced_peak(lambda: write_csv(str(tmp_path / "t.csv"), "t", ["x1", "x2"], table))
+    assert peak < 2.25 * len(text)  # measured 2.00 times 8.07 MB
+
+
+def test_svg_heatmap_peak_is_about_two_copies_of_its_text(tmp_path):
+    p, s0 = validate_params(1.0, 1.0, 1.0, 0.0), InitialState(0.5, 0.0)
+    xi = np.linspace(-3.0, 4.0, 301)
+    grid = densities.density_grid(p, s0, 1.0, xi, xi)
+    text, peak = traced_peak(lambda: emit_svg_heatmap(grid, str(tmp_path / "h.svg")))
+    assert peak < 2.25 * len(text)  # measured 2.00 times 7.18 MB
