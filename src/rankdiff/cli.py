@@ -108,24 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_config(args) -> ExperimentConfig:
     """The run's config: the --config document, overridden by the flags given."""
-    defaults = {"paths": 1} if args.command == "simulate" else {}  # a file per path
-    cfg = ExperimentConfig(**defaults)
+    cfg = ExperimentConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json(fh.read(), **defaults)
-    for field in dataclasses.fields(cfg):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            setattr(cfg, field.name, val)
-    if not 0 < cfg.scale < math.inf:
-        raise ParameterError(f"scale must be finite and > 0, got {cfg.scale!r}")
-    if cfg.out_dir is None:
-        cfg.out_dir = "."
-    return cfg
+            cfg = ExperimentConfig.from_json(fh.read())
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cfg)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _out(cfg, name):
-    return os.path.join(cfg.out_dir, name)
+    return os.path.join(cfg.out_dir or ".", name)
 
 
 def _write_json(path, payload):
@@ -148,7 +140,7 @@ def cmd_simulate(cfg, args) -> int:
     s0 = InitialState(cfg.x1, cfg.x2)
     seed = SeedSpec(cfg.seed)
     written = []
-    for i in range(max(cfg.paths, 1)):
+    for i in range(1 if cfg.paths is None else cfg.paths):  # a file per path
         if args.system == "gap":
             path = bangbang.simulate_y(p, s0.y, cfg.horizon, cfg.steps, seed.stream(i))
             rows = np.column_stack([path.times, path.y_values, path.l_values,
@@ -172,7 +164,8 @@ def cmd_simulate(cfg, args) -> int:
 def cmd_sample(cfg, args) -> int:
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
-    draws = planar.exact_sample_terminal(p, s0, cfg.horizon, cfg.paths, SeedSpec(cfg.seed))
+    n = 100_000 if cfg.paths is None else cfg.paths
+    draws = planar.exact_sample_terminal(p, s0, cfg.horizon, n, SeedSpec(cfg.seed))
     rows = np.column_stack([draws.x1, draws.x2])
     meta = {"t": cfg.horizon, "seed": cfg.seed, "atom_fraction": draws.atom_fraction}
     del draws  # free its arrays and triples, 2.6 times rows, before the text is made
@@ -182,6 +175,8 @@ def cmd_sample(cfg, args) -> int:
 
 
 def cmd_density(cfg, args) -> int:
+    if args.xi_n < 2:  # an axis of one point has no width to draw
+        raise ParameterError(f"xi-n must be >= 2, got {args.xi_n}")
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     s0 = InitialState(cfg.x1, cfg.x2)
     t = cfg.horizon
@@ -255,7 +250,7 @@ def cmd_classify(cfg, args) -> int:
 
 def cmd_reverse(cfg, args) -> int:
     if args.lam is not None:
-        cfg.g = cfg.h = args.lam / 2.0
+        cfg = dataclasses.replace(cfg, g=args.lam / 2.0, h=args.lam / 2.0)
     p = validate_params(cfg.g, cfg.h, cfg.rho, cfg.sigma)
     mode = "steady_state" if args.mode == "steady" else "transient"
     T = cfg.horizon
@@ -268,7 +263,7 @@ def cmd_reverse(cfg, args) -> int:
                             np.concatenate(q), np.concatenate(b)])
     table = _emit_table(cfg, "backward_drift", ["tau", "xi", "q", "b_hat"], rows,
                         {"mode": mode, "y0": args.y0, "lam": p.lam, "T": T})
-    n = max(cfg.paths, 1000)
+    n = 100_000 if cfg.paths is None else cfg.paths
     spec = timereversal.BackwardDriftSpec(p, args.y0, T, mode=mode)
     t_check, ks = timereversal.reversal_ks(spec, cfg.steps, n, SeedSpec(cfg.seed))
     report = _emit_table(cfg, "reverse_report",

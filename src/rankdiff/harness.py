@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 from scipy.special import chdtrc
@@ -70,9 +70,10 @@ class GofReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """CLI-facing configuration; round-trips through JSON without loss."""
+    """CLI-facing configuration; round-trips through JSON without loss.  Each
+    value is range-checked once, on construction; ParameterError names the key."""
 
     command: str = "validate"
     g: float = 1.0
@@ -83,26 +84,39 @@ class ExperimentConfig:
     x2: float = 0.0
     horizon: float = 1.0
     steps: int = 1000
-    paths: int = 100_000
+    paths: Optional[int] = None  # None: the command's own default
     seed: int = 20_240_601
     out_dir: Optional[str] = None
     fmt: str = "csv"
     workers: int = 1
     scale: float = 1.0       # multiplies Monte Carlo sizes; 1.0 = full battery sizes
 
+    def __post_init__(self):
+        for key, val in (("horizon", self.horizon), ("scale", self.scale)):
+            if not 0 < val < math.inf:
+                raise ParameterError(f"{key} must be finite and > 0, got {val!r}")
+        for key, val in (("steps", self.steps), ("workers", self.workers)):
+            if val < 1:
+                raise ParameterError(f"{key} must be >= 1, got {val!r}")
+        # simulate writes a file per path; reverse's KS comparison needs a sample
+        least = {"simulate": 1, "reverse": 1000}.get(self.command, 0)
+        if self.paths is not None and self.paths < least:
+            raise ParameterError(f"paths must be >= {least} for {self.command}, got {self.paths!r}")
+
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, **defaults) -> "ExperimentConfig":
+    def from_json(cls, text: str) -> "ExperimentConfig":
         """The config of a JSON document, a full one (to_json) or any subset such
-        as {g, h, rho, sigma, x1, x2, seed}, with `defaults` for the rest.  Each
-        value has its field's type (an integer serves as a float, a bool as
-        neither) and fmt is csv or json; else ParameterError names the key."""
+        as {g, h, rho, sigma, x1, x2, seed}, with the defaults for the rest.  Each
+        value has a type its field's annotation allows (an integer serves as a
+        float, a bool as neither) and fmt is csv or json; else ParameterError
+        names the key."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ParameterError("a config document must be a JSON object")
-        kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        kinds = get_type_hints(cls)
         unknown = set(data) - set(kinds)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
@@ -112,12 +126,13 @@ class ExperimentConfig:
                 raise ParameterError(f"config key {key!r} must be {what}, got {val!r}")
         if data.get("fmt", "csv") not in ("csv", "json"):
             raise ParameterError(f"config key 'fmt' must be 'csv' or 'json', got {data['fmt']!r}")
-        return cls(**{**defaults, **data})
+        return cls(**data)
 
 
-# the JSON values each field type of ExperimentConfig accepts, by its default's type
+# the JSON values each field annotation of ExperimentConfig accepts
 _JSON_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
-               type(None): ((str, type(None)), "a string or null")}
+               Optional[int]: ((int, type(None)), "an integer or null"),
+               Optional[str]: ((str, type(None)), "a string or null")}
 
 
 # ---------------------------------------------------------------------------

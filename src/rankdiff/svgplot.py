@@ -121,11 +121,6 @@ def _svg_parts(grid: DensityGrid, title: str):
     yield "</svg>\n"
 
 
-def svg_heatmap_string(grid: DensityGrid, title: str = "") -> str:
-    """Render a DensityGrid as a self-contained SVG document string."""
-    return "".join(_svg_parts(grid, title))
-
-
 def emit_svg_heatmap(grid: DensityGrid, path: str, title: str = "") -> str:
     """Write the heatmap SVG to `path`, a column of cells at a time; returns
     the document, byte-stable for fixed input."""

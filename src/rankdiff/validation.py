@@ -503,10 +503,9 @@ def check_invariant_law(seed: SeedSpec, n_paths: int = 768) -> List:
 def run_validation_suite(cfg) -> List:
     """Execute the acceptance battery; collect (never short-circuit) results."""
     seed = SeedSpec(cfg.seed)
-    scale = max(cfg.scale, 1e-3)
 
     def n_of(base, floor):
-        return max(int(base * scale), floor)
+        return max(int(base * cfg.scale), floor)
 
     reports: List = []
     reports += check_classifier(seed.stream(_STREAMS["classifier"]), n_sweep=n_of(10_000, 500))

@@ -132,6 +132,8 @@ def test_full_config_document_and_flag_override(tmp_path):
     assert "seed=13" in lines[0]
     assert len(lines) == 2 + 9  # --steps 8 overrides the document's 10
     assert lines[-1].startswith("0.25,")  # the document's horizon
+    # the document's paths is null, so simulate writes its default of one path
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "path_000.csv"]
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -247,6 +249,24 @@ def test_simulate_takes_paths_from_the_config_document_and_else_writes_one(tmp_p
     assert os.listdir(tmp_path / "one") == ["path_000.csv"]
 
 
+@pytest.mark.parametrize("argv,doc,message", [
+    (["simulate", "--paths", "-5"], None, "paths must be >= 1 for simulate"),
+    (["simulate", "--paths", "0"], None, "paths must be >= 1 for simulate"),
+    (["simulate"], {"paths": 0}, "paths must be >= 1 for simulate"),
+    (["reverse", "--paths", "5"], None, "paths must be >= 1000 for reverse"),
+    (["density", "--xi-n", "1", "--svg", "h.svg"], None, "xi-n must be >= 2"),
+], ids=["simulate-paths-5", "simulate-paths0", "simulate-doc-paths0", "reverse-paths5",
+        "density-xi-n1-svg"])
+def test_a_value_out_of_range_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, doc, message):
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(tmp_path / "doc.json")]
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    assert f"rankdiff {argv[0]}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_quick_pass_fail_and_fault_injection(tmp_path, capsys, monkeypatch):
     from rankdiff import validation
 
@@ -308,13 +328,14 @@ def test_svg_golden_file(tmp_path):
 def test_svg_empty_atom_has_no_overlay(tmp_path):
     from rankdiff import densities
     from rankdiff.core import InitialState, validate_params
-    from rankdiff.svgplot import svg_heatmap_string
+    from rankdiff.svgplot import emit_svg_heatmap
 
     p = validate_params(1.0, 1.0, 1.0, 0.0)
     grid = densities.density_grid(p, InitialState(0.0, 0.0), 1.0,
                                   np.linspace(-2, 2, 6), np.linspace(-2, 2, 6))
     assert grid.atom is None
-    text = svg_heatmap_string(grid)
+    emit_svg_heatmap(grid, str(tmp_path / "heat.svg"))
+    text = (tmp_path / "heat.svg").read_text(encoding="utf-8")
     assert "atom" not in text
     assert "dasharray" not in text
 

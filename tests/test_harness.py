@@ -34,6 +34,7 @@ def test_experiment_config_json_round_trip_lossless():
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     assert ExperimentConfig.from_json(back.to_json()) == back
+    assert json.loads(cfg.to_json())["paths"] is None  # the command's own default
 
 
 def test_experiment_config_rejects_unknown_keys():
@@ -61,6 +62,15 @@ def test_param_document_round_trip():
 def test_config_document_of_the_wrong_shape_names_the_key(text, match):
     with pytest.raises(ParameterError, match=match):
         ExperimentConfig.from_json(text)
+
+
+@pytest.mark.parametrize("key,val", [
+    ("scale", float("nan")), ("scale", float("inf")), ("scale", 0.0), ("scale", -1.0),
+    ("workers", 0), ("steps", 0), ("horizon", float("nan")), ("paths", -1),
+])
+def test_experiment_config_rejects_a_value_out_of_range(key, val):
+    with pytest.raises(ParameterError, match=f"^{key} must be"):
+        ExperimentConfig(**{key: val})
 
 
 def test_config_document_integers_serve_as_floats():
