@@ -106,12 +106,15 @@ def euler_gap_path(lam: float, y0: float, T: float, n_steps: int, seed=None, *, 
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps,):
             raise ParameterError("increments must have shape (n_steps,)")
-    y = np.empty(n_steps + 1)
-    y[0] = y0
-    for k in range(n_steps):
-        y[k + 1] = y[k] - lam * (1.0 if y[k] > 0 else -1.0) * dt + increments[k]
+    lam_dt = lam * dt  # lam (+-1.0) dt is exactly +-lam_dt, so each step rounds as gap_euler_step
+    y = float(y0)
+    ys = [y]
+    for dw in increments.tolist():  # Python floats: cheaper per step than numpy scalars
+        y = (y - lam_dt if y > 0 else y + lam_dt) + dw
+        ys.append(y)
+    y_values = np.array(ys)
     times = np.linspace(0.0, T, n_steps + 1)
-    return YPath(times, y, increments, tanaka_residual_series(y))
+    return YPath(times, y_values, increments, tanaka_residual_series(y_values))
 
 
 def simulate_y(p: ModelParams, y0: float, T: float, n_steps: int, seed=None, *, increments=None) -> YPath:

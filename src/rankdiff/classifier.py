@@ -79,22 +79,16 @@ def volatilities(rho, sigma) -> np.ndarray:
     return _last(np.array([[sigma, rho], [rho, sigma]], dtype=float), 2)
 
 
-def _roots(rho, sigma, eps, dlt, unit):
-    """(vol, m, psi), elementwise: m[..., s] = vol[..., s, :, None] U[..., s]
-    and psi in (-pi, pi] with cos psi = rho sigma (1 + eps delta), sin psi =
-    sigma^2 eps - rho^2 delta."""
-    vol = volatilities(rho, sigma)
-    psi = _atan2(sigma * sigma * eps - rho * rho * dlt, rho * sigma * (1 + eps * dlt))
-    return vol, vol[..., None] * unit, psi
-
-
 def square_roots(rho, sigma, eps, dlt, phi, vartheta):
     """Square-root configurations, elementwise over scalars or arrays of one
-    shape: (phi, vartheta, U, m, psi), angles reduced to (-pi, pi].  Raises
-    if any m[s] m[s]' misses diag(vol[s]^2) by more than SQRT_RESIDUAL_TOL."""
+    shape: (phi, vartheta, U, m, psi), angles in (-pi, pi] and m[..., s] =
+    vol[..., s, :, None] U[..., s].  Raises if any m[s] m[s]' misses
+    diag(vol[s]^2) by more than SQRT_RESIDUAL_TOL."""
     phi, vartheta = _wrap_angle(phi), _wrap_angle(vartheta)
     unit = unit_blocks(eps, dlt, phi, vartheta)
-    vol, m, psi = _roots(rho, sigma, eps, dlt, unit)
+    vol = volatilities(rho, sigma)
+    m = vol[..., None] * unit
+    psi = _atan2(sigma * sigma * eps - rho * rho * dlt, rho * sigma * (1 + eps * dlt))  # (sin psi, cos psi)
     res = abs(np.matmul(m, m.swapaxes(-1, -2)) - np.square(vol)[..., None] * _EYE).max()
     if res > SQRT_RESIDUAL_TOL:
         raise RuntimeError(f"square-root residual {res:.3e} exceeds {SQRT_RESIDUAL_TOL}")
@@ -111,11 +105,6 @@ def criteria(rho, sigma, eps, dlt, phi, vartheta, psi, sigma_minus, sigma_plus):
     geom_defect = abs(_wrap_angle(math.pi + vartheta - phi - psi))
     weak = (ip_sum_norm <= IP_TOL, abs(weak_scalar + 1.0) <= SCALAR_TOL, geom_defect <= ANGLE_TOL)
     return ip_sum_norm, weak_scalar, geom_defect, weak
-
-
-def _check_signs(eps, dlt):
-    if eps not in (-1, 1) or dlt not in (-1, 1):
-        raise ParameterError("root signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -140,9 +129,12 @@ class SqrtConfig:
     psi: float = field(init=False)
 
     def __post_init__(self):
-        """Reduce the angles to (-pi, pi], derive the blocks and psi, and
-        check the square-root property (square_roots)."""
-        _check_signs(self.root_sign_plus, self.root_sign_minus)
+        """Check the signs and angles, reduce the angles to (-pi, pi], derive
+        the blocks and psi, and check the square-root property (square_roots)."""
+        if self.root_sign_plus not in (-1, 1) or self.root_sign_minus not in (-1, 1):
+            raise ParameterError("root signs must be +1 or -1")
+        if not (math.isfinite(self.phi) and math.isfinite(self.vartheta)):
+            raise ParameterError(f"root angles must be finite, got {self.phi!r}, {self.vartheta!r}")
         phi, vartheta, unit, m, psi = square_roots(self.rho, self.sigma, self.root_sign_plus,
                                                    self.root_sign_minus, float(self.phi), float(self.vartheta))
         vars(self).update(phi=float(phi), vartheta=float(vartheta), unit=unit, sigma_minus=m[0],

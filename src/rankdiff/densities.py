@@ -95,11 +95,6 @@ def atom_line_density(p: ModelParams, s0: InitialState, t: float, xi1):
     return scalar_or_array(out, xi1)
 
 
-def atom_line_mass(p: ModelParams, s0: InitialState, t: float) -> float:
-    _check_degenerate(p, s0)
-    return atom_mass(p, s0.y, t)
-
-
 def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
     """Size of the density discontinuity along the front for a start y = 0,
     as a function of the gap xi1 - xi2 at the front."""
@@ -222,14 +217,6 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     return scalar_or_array(out, *args)
 
 
-def joint_density_unequal(p: ModelParams, s0: InitialState, t: float, xi1, xi2):
-    """psi_density translated to the name coordinates (X1, X2)."""
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    shift = p.mu * t
-    return psi_density(p, s0.y, t, xi1 - s0.x1 - shift, xi2 - s0.x2 - shift)
-
-
 # ---------------------------------------------------------------------------
 # dispatcher and grids
 # ---------------------------------------------------------------------------
@@ -251,7 +238,9 @@ def planar_density(p: ModelParams, s0: InitialState, t: float, xi1, xi2):
         return joint_density_isotropic(p, s0, t, xi1, xi2)
     if p.is_degenerate:
         return joint_density_degenerate(p, s0, t, xi1, xi2)
-    return joint_density_unequal(p, s0, t, xi1, xi2)
+    shift = p.mu * t  # psi_density in the name coordinates (X1, X2)
+    return psi_density(p, s0.y, t, np.asarray(xi1, dtype=float) - s0.x1 - shift,
+                       np.asarray(xi2, dtype=float) - s0.x2 - shift)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, get_type_hints
 import numpy as np
 from scipy.special import chdtrc
 
-from .core import BLOCK_CELLS, ParameterError, SeedSpec, check_counts, scalar_or_array
+from .core import BLOCK_CELLS, ParameterError, SeedSpec, check_counts, check_time_start, scalar_or_array
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,6 @@ def pmap_batches(total: int, fn: Callable[[int, SeedSpec], np.ndarray], seed: Se
     """
     sizes = [min(20_000, total - k) for k in range(0, total, 20_000)]
     seeds = [seed.stream(i) for i in range(len(sizes))]
-    if workers <= 1:
-        return [fn(n, s) for n, s in zip(sizes, seeds)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, sizes, seeds))
 
@@ -569,16 +567,14 @@ class PiecewiseBV:
         else:
             raise ParameterError("kind must be 'constant' or 'linear'; anything with "
                                  "unbounded variation is not representable")
+        vars(self).update(_knots=knots, _values=values)  # frozen; read by every call
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
         if self.kind == "constant":
-            idx = np.searchsorted(knots, x, side="left")
-            out = values[idx]
+            out = self._values[np.searchsorted(self._knots, x, side="left")]
         else:
-            out = np.interp(x, knots, values)
+            out = np.interp(x, self._knots, self._values)
         return scalar_or_array(out, x)
 
     @classmethod
@@ -623,6 +619,9 @@ def tanaka_coalescence_experiment(f: PiecewiseBV, dts: Sequence[float], reps: in
     if drive not in ("perturbed", "plain"):
         raise ParameterError("drive must be 'perturbed' or 'plain'")
     check_counts(reps=reps)
+    check_time_start(T, z0)
+    if not 0 <= q_ratio < math.inf:
+        raise ParameterError(f"q_ratio must be finite and >= 0, got {q_ratio!r}")
     dts = sorted(float(d) for d in dts)
     if not dts or not all(math.isfinite(d) and d > 0 for d in dts):
         raise ParameterError("every dt must be finite and > 0")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import ParameterError
 from .densities import DensityGrid
 from .harness import write_text
 
@@ -123,7 +124,9 @@ def _svg_parts(grid: DensityGrid, title: str):
 
 def emit_svg_heatmap(grid: DensityGrid, path: str, title: str = "") -> str:
     """Write the heatmap SVG to `path`, a column of cells at a time; returns
-    the document, byte-stable for fixed input."""
+    the document, byte-stable for fixed input.  Each axis needs two points."""
+    if min(len(grid.xi1), len(grid.xi2)) < 2:  # checked before the file is opened
+        raise ParameterError(f"a heatmap axis needs >= 2 points, got {len(grid.xi1)} x {len(grid.xi2)}")
     try:
         return write_text(path, _svg_parts(grid, title))
     except OSError as exc:

@@ -148,7 +148,10 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     if record_times is None:
         rec_idx = np.arange(n_steps + 1)
     else:
-        rec_idx = np.unique(np.clip(np.round(np.asarray(record_times) / dt).astype(int), 0, n_steps))
+        idx = np.round(np.asarray(record_times, dtype=float) / dt)
+        if not np.all((idx >= 0) & (idx <= n_steps)):  # NaN fails both
+            raise ParameterError(f"record_times must be finite grid times in [0, {spec.T!r}]")
+        rec_idx = np.unique(idx.astype(int))
     out = np.empty((len(rec_idx), n_paths))
     pos = {k: i for i, k in enumerate(rec_idx)}
     if 0 in pos:

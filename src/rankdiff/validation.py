@@ -182,7 +182,7 @@ def check_normalization() -> List:
                 front + 1e-12, front + abs(s0.y) + p.lam * t + 14.0 * math.sqrt(t) + 2, n_panels=32)
             reports.append(_report("sup", f"normalization/degenerate-{name}/lam={lam:g},t={t:g}",
                                    abs(cont + line - 1.0), 1e-5, 1,
-                                   note=f"atom mass {densities.atom_line_mass(p, s0, t):.6f}"))
+                                   note=f"atom mass {bangbang.atom_mass(p, s0.y, t):.6f}"))
             reports.append(_report("sup", f"normalization/rank-degenerate-{name}/lam={lam:g},t={t:g}",
                                    abs(rk + line - 1.0), 1e-5, 1))
 
@@ -374,14 +374,14 @@ def _localtime_gap_rms(seed: SeedSpec, dt: float, which: str) -> float:
     lam, n_steps = 2.0, int(round(1.0 / dt))
     times, y, dw = bangbang.euler_gap_paths_batch(lam, 0.3, 1.0, n_steps, 600, seed.generator())
     if which == "skorokhod":  # the last rows only
-        gap = (2.0 * bangbang.tanaka_residual_matrix(y, last=True)
+        gap = (2.0 * bangbang.tanaka_residual_series(y, last=True)
                - bangbang.skorokhod_local_time_series(y, dw, times, lam, last=True))
     elif which == "reversal":  # row k of el_rev - (el[-1] - el[::-1]); the scans are causal
         del dw  # not read here
         k = n_steps // 2
-        gap = (bangbang.tanaka_residual_matrix(y[::-1][:k + 1], last=True)
-               - (bangbang.tanaka_residual_matrix(y, last=True)
-                  - bangbang.tanaka_residual_matrix(y[:n_steps - k + 1], last=True)))
+        gap = (bangbang.tanaka_residual_series(y[::-1][:k + 1], last=True)
+               - (bangbang.tanaka_residual_series(y, last=True)
+                  - bangbang.tanaka_residual_series(y[:n_steps - k + 1], last=True)))
     else:
         raise ValueError(which)
     return float(np.sqrt(np.mean(gap**2)))
@@ -391,9 +391,8 @@ def check_local_time(seed: SeedSpec, n_paths: int = 256) -> List:
     reports = []
     dt = 1e-4
     eps = dt**0.4
-    y = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)), max(n_paths, 8),
-                                       seed.stream(0).generator())[1]
-    el = bangbang.tanaka_residual_matrix(y, last=True)
+    y = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)), n_paths, seed.stream(0).generator())[1]
+    el = bangbang.tanaka_residual_series(y, last=True)
     n, rows = len(y) - 1, max(1, BLOCK_CELLS // y.shape[1])  # occupation counted per row block
     inside = sum((np.abs(y[i:min(i + rows, n)]) < eps).sum(axis=0) for i in range(0, n, rows))
     rel = np.abs(inside * dt / (4.0 * eps) - el) / el

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankdiff import classifier
-from rankdiff.core import SeedSpec, validate_params
+from rankdiff.core import ParameterError, SeedSpec, validate_params
 
 RHO_SIGMA_CASES = [
     (1 / math.sqrt(2), 1 / math.sqrt(2)),
@@ -204,3 +204,12 @@ def test_build_config_rejects_bad_signs():
     p = params(0.8, 0.6)
     with pytest.raises(Exception):
         classifier.build_config(p, 0, 1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["phi", "vartheta"])
+def test_build_config_rejects_a_non_finite_angle(which, bad):
+    # a NaN angle fails every "<= tol" test of the criteria and so read as strong
+    angles = {"phi": 0.0, "vartheta": 0.0, which: bad}
+    with pytest.raises(ParameterError, match="root angles must be finite"):
+        classifier.build_config(params(0.8, 0.6), 1, 1, angles["phi"], angles["vartheta"])

@@ -255,8 +255,11 @@ def test_simulate_takes_paths_from_the_config_document_and_else_writes_one(tmp_p
     (["simulate"], {"paths": 0}, "paths must be >= 1 for simulate"),
     (["reverse", "--paths", "5"], None, "paths must be >= 1000 for reverse"),
     (["density", "--xi-n", "1", "--svg", "h.svg"], None, "xi-n must be >= 2"),
+    (["classify", "--eps", "1", "--delta", "1", "--phi", "nan", "--vartheta", "0"], None,
+     "root angles must be finite"),
+    (["simulate", "--system", "custom", "--phi", "inf", "--steps", "5"], None, "root angles must be finite"),
 ], ids=["simulate-paths-5", "simulate-paths0", "simulate-doc-paths0", "reverse-paths5",
-        "density-xi-n1-svg"])
+        "density-xi-n1-svg", "classify-phi-nan", "simulate-custom-phi-inf"])
 def test_a_value_out_of_range_is_usage_error_and_writes_nothing(tmp_path, capsys, argv, doc, message):
     if doc is not None:
         (tmp_path / "doc.json").write_text(json.dumps(doc))
@@ -338,6 +341,20 @@ def test_svg_empty_atom_has_no_overlay(tmp_path):
     text = (tmp_path / "heat.svg").read_text(encoding="utf-8")
     assert "atom" not in text
     assert "dasharray" not in text
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 3), (3, 1), (0, 3)])
+def test_svg_rejects_an_axis_of_fewer_than_two_points(tmp_path, n1, n2):
+    from rankdiff import densities
+    from rankdiff.core import InitialState, ParameterError, validate_params
+    from rankdiff.svgplot import emit_svg_heatmap
+
+    p = validate_params(1.0, 1.0, 1.0, 0.0)
+    grid = densities.density_grid(p, InitialState(0.5, 0.0), 1.0,
+                                  np.linspace(-1, 1, n1), np.linspace(-1, 1, n2))
+    with pytest.raises(ParameterError, match="heatmap axis needs >= 2 points"):
+        emit_svg_heatmap(grid, str(tmp_path / "heat.svg"))
+    assert not (tmp_path / "heat.svg").exists()
 
 
 def test_reverse_lambda_alias_and_report_file(tmp_path):

@@ -110,7 +110,7 @@ def test_degenerate_total_mass_with_atom():
         line = quad(lambda u: densities.atom_line_density(P_DEG, s0, 1.0, u),
                     front, front + 18, limit=300)[0]
         assert abs(cont + line - 1.0) <= 1e-6
-        assert abs(line - densities.atom_line_mass(P_DEG, s0, 1.0)) <= 1e-9
+        assert abs(line - bangbang.atom_mass(P_DEG, s0.y, 1.0)) <= 1e-9
 
 
 def test_degenerate_density_matches_monte_carlo():
@@ -212,7 +212,7 @@ def test_rank_density_mass_with_atom():
     vals = densities.rank_density_degenerate(P_DEG, s0, 1.0, pw[None, :] + pu[:, None],
                                              pw[None, :] + 0 * pu[:, None])
     mass = float(np.einsum("i,j,ij->", wu, ww, vals))
-    atom = densities.atom_line_mass(P_DEG, s0, 1.0)
+    atom = bangbang.atom_mass(P_DEG, s0.y, 1.0)
     assert abs(mass + atom - 1.0) <= 1e-6
 
 

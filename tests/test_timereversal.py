@@ -228,6 +228,14 @@ def test_backward_stops_at_last_recorded_step_with_the_same_rows(mode, n_steps):
     assert t_rec.shape == (0,) and rec.shape == (0, y_term.size)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.1, 1.1, 1e300])
+def test_backward_rejects_a_record_time_off_the_grid(t):
+    # such a time was cast with a RuntimeWarning or clipped to an end of the grid
+    spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="steady_state")
+    with pytest.raises(ParameterError, match="record_times"):
+        timereversal.simulate_backward(spec, np.zeros(3), 10, SeedSpec(1), record_times=[0.5, t])
+
+
 @pytest.mark.parametrize("n_steps", [0, -2])
 def test_backward_rejects_bad_step_count(n_steps):
     spec = timereversal.BackwardDriftSpec(P2, 0.0, 1.0, mode="steady_state")
