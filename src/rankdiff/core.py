@@ -39,9 +39,15 @@ def check_time_start(t, *starts) -> None:
     horizon) t > 0 and finite starts, each a scalar or an array."""
     if not (math.isfinite(t) and t > 0):
         raise ParameterError("require a finite t > 0")
-    for y in starts:  # math.isfinite on floats: np.isfinite costs microseconds per scalar
-        if not (math.isfinite(y) if isinstance(y, (int, float)) else np.all(np.isfinite(y))):
-            raise ParameterError("the start must be finite")
+    check_finite("the start", *starts)
+
+
+def check_finite(what: str, *xs) -> None:
+    """Raise ParameterError naming `what` unless each x, a scalar or an
+    array, is finite: one test per argument, not per point."""
+    for x in xs:  # math.isfinite on floats: np.isfinite costs microseconds per scalar
+        if not (math.isfinite(x) if isinstance(x, (int, float)) else np.all(np.isfinite(x))):
+            raise ParameterError(f"{what} must be finite")
 
 
 def check_counts(**counts) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bangbang import (_atom_bracket, _check_triple_domain, _triple_kernel, atom_density, atom_mass,
                        transition_density, triple_density)
-from .core import InitialState, ModelParams, ParameterError, check_time_start, scalar_or_array
+from .core import InitialState, ModelParams, ParameterError, check_finite, check_time_start, scalar_or_array
 from .tails import norm_sf
 
 
@@ -36,6 +36,7 @@ def joint_density_isotropic(p: ModelParams, s0: InitialState, t: float, xi1, xi2
         raise ParameterError("joint_density_isotropic requires rho^2 = sigma^2 = 1/2")
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
+    check_finite("the point", xi1, xi2)
     gap = transition_density(p, t, s0.y, xi1 - xi2)
     out = 2.0 * gap / np.sqrt(2.0 * np.pi * t) * np.exp(-((xi1 + xi2 - s0.z - p.nu * t) ** 2) / (2.0 * t))
     return scalar_or_array(out, xi1, xi2)
@@ -67,6 +68,7 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     check_time_start(t)
     _check_degenerate(p, s0)
     args = xi1, xi2
+    check_finite("the point", xi1, xi2)  # a NaN point is in no wedge and would read 0
     xi1, xi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(xi1, dtype=float)),
                                    np.atleast_1d(np.asarray(xi2, dtype=float)))
     front = front_location(p, s0, t)
@@ -100,6 +102,7 @@ def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
     as a function of the gap xi1 - xi2 at the front."""
     if s0.y != 0:
         raise ParameterError("front_jump is stated for y = 0")
+    check_time_start(t)
     d = np.abs(np.asarray(gap, dtype=float))
     return scalar_or_array(_triple_kernel(2.0, p.lam, t, d, d, d - p.lam * t), gap)
 
@@ -193,6 +196,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     if p.gamma <= 0 or p.rho <= 0 or p.sigma <= 0:
         raise ParameterError("psi_density requires rho > sigma > 0 (gamma > 0); reduce by symmetry first")
     args = psi1, psi2
+    check_finite("the point", psi1, psi2)  # a NaN point is on no side and would read 0
     psi1, psi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(psi1, dtype=float)),
                                      np.atleast_1d(np.asarray(psi2, dtype=float)))
     lam, gam = p.lam, p.gamma
@@ -319,6 +323,7 @@ def density_grid(p: ModelParams, s0: InitialState, t: float, xi1, xi2) -> Densit
     """Evaluate the continuous density on a product grid, with the atom."""
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
+    check_finite("the point", xi1, xi2)  # NaN passes the order test: a NaN difference is not <= 0
     if np.any(np.diff(xi1) <= 0) or np.any(np.diff(xi2) <= 0):
         raise ParameterError("grids must be strictly increasing")
     values = planar_density(p, s0, t, xi1[:, None], xi2[None, :])

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, get_type_hints
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .core import BLOCK_CELLS, ParameterError, SeedSpec, check_counts, check_time_start, scalar_or_array
+from .tails import special
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def chi2_against_density(x1: np.ndarray, x2: np.ndarray,
 def chi2_sf(stat: float, dof: int) -> float:
     """Chi-square upper tail P(chi2_dof > stat); NaN for dof < 1, where
     chdtrc would give 0 or 1 for a law that does not exist."""
-    return float(chdtrc(dof, stat)) if dof >= 1 else math.nan
+    return float(special().chdtrc(dof, stat)) if dof >= 1 else math.nan
 
 
 def binomial_z(count: int, n: int, prob: float) -> float:
@@ -545,6 +545,7 @@ class PiecewiseBV:
     with values[0] left of the first knot and values[-1] right of the last.
     kind "linear": continuous interpolation through (knots, values), constant
     extension outside -- automatically of bounded variation.
+    Either kind maps -inf and +inf to its end values; a NaN argument raises.
     """
 
     kind: str
@@ -571,6 +572,8 @@ class PiecewiseBV:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():  # searchsorted would put NaN past the last knot
+            raise ParameterError("a piecewise function's argument must not be NaN")
         if self.kind == "constant":
             out = self._values[np.searchsorted(self._knots, x, side="left")]
         else:

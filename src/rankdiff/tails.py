@@ -10,30 +10,40 @@ quadrature of these tails cancels catastrophically for large |c|.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
+@functools.cache
+def special():
+    """scipy.special, imported on first use: it is about half of the
+    package's start-up, and simulate, classify and tanaka never need it.
+    The import lock makes a first use from several threads safe."""
+    import scipy.special
+    return scipy.special
+
+
 def norm_cdf(x):
-    return ndtr(x)
+    return special().ndtr(x)
 
 
 def norm_sf(x):
     """Phi_bar(x) = P(N(0,1) > x), stable in both tails."""
-    return ndtr(-np.asarray(x, dtype=float))
+    return special().ndtr(-np.asarray(x, dtype=float))
 
 
 def log_norm_sf(x):
     """log Phi_bar(x) without underflow for large x."""
-    return log_ndtr(-np.asarray(x, dtype=float))
+    return special().log_ndtr(-np.asarray(x, dtype=float))
 
 
 def norm_ppf(log_q):
     """Phi^-1(exp(log_q)): the quantile of a probability given by its log,
     which keeps its digits far below 1e-308 and close to 1."""
-    return ndtri_exp(log_q)
+    return special().ndtri_exp(log_q)
 
 
 def gauss_tail(c, m, t):

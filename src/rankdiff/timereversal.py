@@ -21,7 +21,7 @@ from .core import (ModelParams, ParameterError, SeedSpec, as_generator, check_co
                    scalar_or_array)
 from .harness import ks_two_sample
 from .planar import PlanarPath, noise_bundle, ranks
-from .tails import log_gauss_tail, norm_sf
+from .tails import log_gauss_tail, log_norm_sf, norm_sf
 
 DRIFT_CLAMP = 10.0  # |bhat| <= DRIFT_CLAMP / dt on the final backward steps
 
@@ -84,13 +84,34 @@ def q_function(p: ModelParams, y0: float, tau: float, xi):
     flip = -1.0 if y0 < 0 else 1.0
     y, a = flip * float(y0), np.abs(xi_arr)
     s = np.where(flip * xi_arr > 0, 1.0, -1.0)
-    log_t1 = (1.0 - s) * lam * y - ((a - s * y + lam * tau) ** 2) / (2.0 * tau)
-    log_t2 = np.log(lam) - 2.0 * lam * a + log_gauss_tail(y + a, lam * tau, tau)
-    log_h = np.log(lam) - 2.0 * lam * a - ((y + a - lam * tau) ** 2) / (2.0 * tau)
-    c1 = (a - s * y + lam * tau) / tau
+    # each shared term once and each temporary updated in place, in the
+    # order of the plain expressions, so that every value rounds as they do
+    u = s * y  # a - s y + lam tau: log_t1 and c1
+    np.subtract(a, u, out=u)
+    u += lam * tau
+    d = y + a  # (y + a) - lam tau: the Gaussian tail and log_h
+    d -= lam * tau
+    log_h = np.log(lam) - 2.0 * lam * a  # also the head of log_t2
+    log_t2 = log_norm_sf(d / np.sqrt(tau))  # log_t2 = head + log_gauss_tail(y + a, lam tau, tau)
+    log_t2 += 0.5 * np.log(2.0 * np.pi * tau)
+    log_t2 += log_h
+    d **= 2
+    d /= 2.0 * tau
+    log_h -= d
+    c1 = u / tau
+    log_t1 = 1.0 - s  # (1 - s) lam y - u^2 / (2 tau)
+    log_t1 *= lam
+    log_t1 *= y
+    u **= 2
+    u /= 2.0 * tau
+    log_t1 -= u
     m = np.maximum(log_t1, log_t2)
-    t1, t2, hh = np.exp(log_t1 - m), np.exp(log_t2 - m), np.exp(log_h - m)
-    return scalar_or_array(-flip * s * (c1 * t1 + 2.0 * lam * t2 + hh) / (t1 + t2), xi)
+    t1, t2, hh = (np.exp(np.subtract(v, m, out=v), out=v) for v in (log_t1, log_t2, log_h))
+    c1 *= t1  # c1 t1 + 2 lam t2 + hh over t1 + t2
+    c1 += 2.0 * lam * t2
+    c1 += hh
+    t1 += t2
+    return scalar_or_array(-flip * s * c1 / t1, xi)
 
 
 def backward_drift(p: ModelParams, y0: float, tau: float, xi, mode: str = "transient"):

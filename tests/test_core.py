@@ -205,3 +205,49 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
             " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_python(code, *argv):
+    """The last line that `python -c code argv...` prints, in a fresh process on src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    return out.stdout.strip().splitlines()[-1]
+
+
+_SPECIAL_LOADED = "any(m == 'scipy.special' or m.startswith('scipy.special.') for m in sys.modules)"
+
+
+def test_simulate_classify_tanaka_and_density_never_load_scipy_special(tmp_path):
+    # scipy.special is loaded on first use (tails.special), about half of the start-up
+    code = f"""if True:
+        import sys, rankdiff.cli
+        loaded = [{_SPECIAL_LOADED}]
+        for args in (["simulate", "--system", "B", "--steps", "50"], ["simulate", "--system", "gap"],
+                     ["classify", "--rho", "0.8", "--sigma", "0.6", "--enumerate"],
+                     ["tanaka", "--dts", "8e-3,4e-3", "--reps", "3"], ["density", "--xi-n", "5"]):
+            assert rankdiff.cli.main(args + ["--out-dir", sys.argv[1]]) == 0, args
+            loaded.append({_SPECIAL_LOADED})
+        print(loaded)"""
+    assert _fresh_python(code, str(tmp_path)) == str([False] * 6)
+
+
+def test_first_use_of_scipy_special_inside_threads_moves_no_byte():
+    code = f"""if True:
+        import hashlib, sys
+        import numpy as np
+        from rankdiff import harness, planar
+        from rankdiff.core import InitialState, SeedSpec, validate_params
+        p, s0 = validate_params(1.0, 0.5, 0.8, 0.6), InitialState(0.4, 0.0)
+
+        def draw(n, seed):
+            d = planar.exact_sample_terminal(p, s0, 1.0, n, seed)
+            return np.concatenate([d.x1, d.x2])
+
+        before = {_SPECIAL_LOADED}
+        sys.setswitchinterval(1e-6)  # three threads, switching often, race to the first use
+        digests = [hashlib.sha256(np.concatenate(harness.pmap_batches(60_000, draw, SeedSpec(7), workers=w))
+                                  .tobytes()).hexdigest() for w in (3, 1)]
+        print([before, {_SPECIAL_LOADED}, digests[0] == digests[1]])"""
+    assert _fresh_python(code) == str([False, True, True])

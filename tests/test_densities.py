@@ -401,6 +401,31 @@ def test_gap_coordinate_laws_reject_non_finite_time_or_start(y, t):
         densities.quadrivariate_atom_density(P_GEN, y, t, 0.5, 0.1)
 
 
+@pytest.mark.parametrize("p", [P_DEG, P_ISO, P_GEN, validate_params(1.0, 0.5, 0.6, 0.8)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_planar_laws_reject_a_non_finite_point(p, bad):
+    # a NaN point was in no wedge or side and read as density 0.0
+    s0 = InitialState(0.4, 0.0)
+    axis = np.linspace(-1, 1, 5)
+    for law in (lambda: densities.planar_density(p, s0, 1.0, bad, 0.0),
+                lambda: densities.planar_density(p, s0, 1.0, np.array([0.1, bad]), 0.0),
+                lambda: densities.planar_density(p, s0, 1.0, 0.2, np.array([[bad]])),
+                lambda: densities.density_grid(p, s0, 1.0, np.append(axis, bad), axis),
+                lambda: densities.density_grid(p, s0, 1.0, axis, np.insert(axis, 2, bad))):
+        with pytest.raises(ParameterError, match="point must be finite"):
+            law()
+    with pytest.raises(ParameterError, match="point must be finite"):
+        densities.psi_density(P_GEN, 0.4, 1.0, np.array([0.1, 0.3]), np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+def test_front_jump_rejects_a_bad_time(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            densities.front_jump(P_DEG, InitialState(0.0, 0.0), t, 0.3)
+
+
 def test_psi_density_rejects_wrong_branch():
     with pytest.raises(ParameterError):
         densities.psi_density(validate_params(1.0, 0.5, 0.6, 0.8), 0.2, 1.0, 0.1, 0.2)

@@ -375,6 +375,15 @@ def test_piecewise_linear_is_constant_outside_knots():
     assert f(0.5) == 0.5
 
 
+@pytest.mark.parametrize("f", [PiecewiseBV.sign(), PiecewiseBV("linear", (-1.0, 0.0, 1.0), (0.0, 1.0, 0.0))])
+def test_piecewise_rejects_a_nan_argument_and_extends_to_infinity(f):
+    # searchsorted put NaN past the last knot, so sign()(nan) read 1.0
+    for x in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]])):
+        with pytest.raises(ParameterError):
+            f(x)
+    assert f(-math.inf) == f(-1e300) and f(math.inf) == f(1e300)
+
+
 def test_piecewise_rejects_unbounded_variation_descriptors():
     with pytest.raises(ParameterError):
         PiecewiseBV("quadratic", (0.0,), (1.0, 2.0))

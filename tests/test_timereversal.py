@@ -28,6 +28,31 @@ def test_score_odd_at_origin_exact():
     np.testing.assert_array_equal(left, -right)
 
 
+def test_score_equals_its_plain_expressions_bit_for_bit():
+    # q_function forms its shared terms once and in place; each value must
+    # round as the plain one-line expressions below do
+    from rankdiff.tails import log_gauss_tail
+
+    rng = np.random.default_rng(20240601)
+    for k in range(60):
+        p, tau = params(rng.uniform(0.05, 6.0)), rng.uniform(0.01, 4.0)
+        lam = p.lam
+        y0 = 0.0 if k % 10 == 0 else rng.uniform(-3.0, 3.0)
+        xi = np.concatenate([[0.0, -0.0, 40.0, -40.0], rng.uniform(-8.0, 8.0, 61)])
+        flip = -1.0 if y0 < 0 else 1.0
+        y, a = flip * y0, np.abs(xi)
+        s = np.where(flip * xi > 0, 1.0, -1.0)
+        log_t1 = (1.0 - s) * lam * y - ((a - s * y + lam * tau) ** 2) / (2.0 * tau)
+        log_t2 = np.log(lam) - 2.0 * lam * a + log_gauss_tail(y + a, lam * tau, tau)
+        log_h = np.log(lam) - 2.0 * lam * a - ((y + a - lam * tau) ** 2) / (2.0 * tau)
+        c1 = (a - s * y + lam * tau) / tau
+        m = np.maximum(log_t1, log_t2)
+        t1, t2, hh = np.exp(log_t1 - m), np.exp(log_t2 - m), np.exp(log_h - m)
+        plain = -flip * s * (c1 * t1 + 2.0 * lam * t2 + hh) / (t1 + t2)
+        got = timereversal.q_function(p, y0, tau, xi)
+        assert got.tobytes() == plain.tobytes()
+
+
 def fd_log_density(p, y0, tau, xi, h):
     f = [math.log(bangbang.transition_density(p, tau, y0, xi + k * h)) for k in (-2, -1, 1, 2)]
     return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
