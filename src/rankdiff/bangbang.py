@@ -6,7 +6,8 @@ time), and an exact sampler for that law, which also draws Y(t) itself.
 
 Conventions fixed here and used everywhere downstream:
 
-* sign(0) = -1 (core.sign), applied to every indicator evaluation;
+* sign(0) = -1 (core.sides, and core.sign for a checked point), applied to
+  every indicator evaluation;
 * local time is the symmetric semimartingale local time at 0, normalized as
   the limit of (1/(4 eps)) * occupation time of (-eps, eps);
 * the closed-form laws are stated for a start y >= 0; a start y < 0 is
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BLOCK_CELLS, ModelParams, ParameterError, as_generator, check_counts,
-                   check_time_start, scalar_or_array)
+                   check_time_start, points, scalar_or_array, sides)
 from .tails import gauss_tail, log_norm_sf, norm_cdf, norm_ppf
 
 
@@ -61,10 +62,10 @@ def transition_density(p: ModelParams, t: float, y, xi):
     """
     check_time_start(t, y)
     lam, t = p.lam, float(t)
-    y_arr, xi_arr = np.asarray(y, dtype=float), np.asarray(xi, dtype=float)
+    y_arr, xi_arr = np.asarray(y, dtype=float), points(xi)  # y: a start, checked above
     flip = np.where(y_arr < 0, -1.0, 1.0)  # multiplying by +-1 is exact
     y_m, a = flip * y_arr, np.abs(xi_arr)
-    s = np.where(flip * xi_arr > 0, 1.0, -1.0)
+    s = sides(flip * xi_arr)
     out = (
         np.exp((1.0 - s) * lam * y_m - ((a - s * y_m + lam * t) ** 2) / (2.0 * t))
         + lam * np.exp(-2.0 * lam * a) * gauss_tail(y_m + a, lam * t, t)
@@ -74,8 +75,7 @@ def transition_density(p: ModelParams, t: float, y, xi):
 
 def invariant_density(p: ModelParams, xi):
     """Stationary density lam * exp(-2 lam |xi|)."""
-    xi = np.asarray(xi, dtype=float)
-    return scalar_or_array(p.lam * np.exp(-2.0 * p.lam * np.abs(xi)), xi)
+    return scalar_or_array(p.lam * np.exp(-2.0 * p.lam * np.abs(points(xi))), xi)
 
 
 def sample_terminal_exact(p: ModelParams, t: float, y: float, n: int, rng) -> np.ndarray:
@@ -130,8 +130,7 @@ def _check_batch(y0, T, n_steps, n_paths):
 def gap_euler_step(y: np.ndarray, lam: float, dt: float, dw: np.ndarray) -> None:
     """One Euler step of dY = -lam*sign(Y) dt + dW for every path of y, in place,
     with increments dw, rounded as euler_gap_path: y <- (y - lam sign(y) dt) + dw."""
-    lam_dt = lam * dt
-    y -= np.where(y > 0, lam_dt, -lam_dt)
+    y -= sides(y) * (lam * dt)
     y += dw
 
 
@@ -192,7 +191,7 @@ def _signed_scan(y, dw, finish, last=False) -> np.ndarray:
     rows = max(1, BLOCK_CELLS // max(1, y[0].size))
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        c = np.where(y[i:j] > 0, 1.0, -1.0) * (y[i + 1:j + 1] - y[i:j] if dw is None else dw[i:j])
+        c = sides(y[i:j]) * (y[i + 1:j + 1] - y[i:j] if dw is None else dw[i:j])
         if i:
             c[0] += carry
         carry = np.cumsum(c, axis=0, out=c)[-1]
@@ -298,12 +297,11 @@ def triple_density(p: ModelParams, y: float, t: float, a, b):
     continuous mass is therefore twice the integral of this function.
     """
     _check_triple_domain(y, t)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0):
+    a_pt, b_pt = points(a), points(b)
+    if np.any(a_pt <= 0) or np.any(b_pt <= 0):
         raise ParameterError("triple_density requires a > 0 and b > 0")
-    s = a + b + y
-    return scalar_or_array(_triple_kernel(1.0, p.lam, t, a, s, s - p.lam * t), a, b)
+    s = a_pt + b_pt + y
+    return scalar_or_array(_triple_kernel(1.0, p.lam, t, a_pt, s, s - p.lam * t), a, b)
 
 
 def atom_density(p: ModelParams, y: float, t: float, a):
@@ -313,10 +311,10 @@ def atom_density(p: ModelParams, y: float, t: float, a):
     accumulates local time immediately.
     """
     _check_triple_domain(y, t)
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0):
+    a_pt = points(a)
+    if np.any(a_pt <= 0):
         raise ParameterError("atom_density requires a > 0")
-    out = _atom_bracket(p.lam, y, t, a) / np.sqrt(2.0 * np.pi * t)
+    out = _atom_bracket(p.lam, y, t, a_pt) / np.sqrt(2.0 * np.pi * t)
     if y == 0:
         out = np.zeros_like(out)
     return scalar_or_array(out, a)
@@ -477,8 +475,8 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
     lam = p.lam
     m_atom = atom_mass(p, y, t)
     is_atom = rng.random(n) < m_atom
-    sides = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    sides[is_atom] = 1.0
+    side = np.where(rng.random(n) < 0.5, 1.0, -1.0)  # a fair coin, not the sign rule
+    side[is_atom] = 1.0
     a = np.empty(n)
     b = np.zeros(n)
     n_atom = int(is_atom.sum())
@@ -492,7 +490,7 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
         cont = ~is_atom
         a[cont] = a_cont
         b[cont] = s - a_cont - y
-    return TripleBatch(sides, a, b, is_atom)
+    return TripleBatch(side, a, b, is_atom)
 
 
 def sample_triple(p: ModelParams, y: float, t: float, seed=None) -> TripleDraw:

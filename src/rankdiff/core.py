@@ -22,16 +22,26 @@ class ParameterError(ValueError):
     """A model parameter violates one of its declared constraints."""
 
 
-def sign(x):
-    """Signum with the tie convention sign(0) = -1.
+def sides(x):
+    """The tie rule sign(0) = -1, unchecked: exactly +1.0 where x > 0, else
+    -1.0 (+-0.0 and NaN included), bit for bit np.where(x > 0, 1.0, -1.0)."""
+    return (x > 0) * 2.0 - 1.0
 
-    Accepts scalars or arrays; returns +1.0 where x > 0 and -1.0 where x <= 0.
-    Never returns 0.  Non-finite input is rejected.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("sign: input must be finite")
-    return scalar_or_array(np.where(arr > 0.0, 1.0, -1.0), x)
+
+def sign(x):
+    """Signum with the tie convention sign(0) = -1: sides(x) for a finite x,
+    a scalar or an array.  Never returns 0."""
+    return scalar_or_array(sides(points(x)), x)
+
+
+def points(*xs):
+    """The entry rule of every point-taking law: the points xs as float arrays
+    of at least one dimension, each tested finite once, so that no NaN or
+    infinite point reads as a density, a side or a drift; several are broadcast
+    together (a law that only computes elementwise calls it once per argument)."""
+    arrs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
+    check_finite("the point", *arrs)
+    return np.broadcast_arrays(*arrs) if len(arrs) > 1 else arrs[0]
 
 
 def check_time_start(t, *starts) -> None:
@@ -46,7 +56,7 @@ def check_finite(what: str, *xs) -> None:
     """Raise ParameterError naming `what` unless each x, a scalar or an
     array, is finite: one test per argument, not per point."""
     for x in xs:  # math.isfinite on floats: np.isfinite costs microseconds per scalar
-        if not (math.isfinite(x) if isinstance(x, (int, float)) else np.all(np.isfinite(x))):
+        if not (math.isfinite(x) if isinstance(x, (int, float)) else np.isfinite(x).all()):
             raise ParameterError(f"{what} must be finite")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bangbang import (_atom_bracket, _check_triple_domain, _triple_kernel, atom_density, atom_mass,
                        transition_density, triple_density)
-from .core import InitialState, ModelParams, ParameterError, check_finite, check_time_start, scalar_or_array
+from .core import InitialState, ModelParams, ParameterError, check_time_start, points, scalar_or_array
 from .tails import norm_sf
 
 
@@ -34,11 +34,9 @@ def joint_density_isotropic(p: ModelParams, s0: InitialState, t: float, xi1, xi2
     check_time_start(t)
     if not p.is_isotropic:
         raise ParameterError("joint_density_isotropic requires rho^2 = sigma^2 = 1/2")
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    check_finite("the point", xi1, xi2)
-    gap = transition_density(p, t, s0.y, xi1 - xi2)
-    out = 2.0 * gap / np.sqrt(2.0 * np.pi * t) * np.exp(-((xi1 + xi2 - s0.z - p.nu * t) ** 2) / (2.0 * t))
+    x1, x2 = points(xi1), points(xi2)
+    gap = transition_density(p, t, s0.y, x1 - x2)
+    out = 2.0 * gap / np.sqrt(2.0 * np.pi * t) * np.exp(-((x1 + x2 - s0.z - p.nu * t) ** 2) / (2.0 * t))
     return scalar_or_array(out, xi1, xi2)
 
 
@@ -68,9 +66,7 @@ def joint_density_degenerate(p: ModelParams, s0: InitialState, t: float, xi1, xi
     check_time_start(t)
     _check_degenerate(p, s0)
     args = xi1, xi2
-    check_finite("the point", xi1, xi2)  # a NaN point is in no wedge and would read 0
-    xi1, xi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(xi1, dtype=float)),
-                                   np.atleast_1d(np.asarray(xi2, dtype=float)))
+    xi1, xi2 = points(xi1, xi2)
     front = front_location(p, s0, t)
 
     def wedge(lo, hi):
@@ -93,8 +89,7 @@ def atom_line_density(p: ModelParams, s0: InitialState, t: float, xi1):
     """
     check_time_start(t)
     _check_degenerate(p, s0)
-    out = _atom_vals(p, s0.y, t, np.asarray(xi1, dtype=float) - front_location(p, s0, t))
-    return scalar_or_array(out, xi1)
+    return scalar_or_array(_atom_vals(p, s0.y, t, xi1, front_location(p, s0, t)), xi1)
 
 
 def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
@@ -103,7 +98,7 @@ def front_jump(p: ModelParams, s0: InitialState, t: float, gap):
     if s0.y != 0:
         raise ParameterError("front_jump is stated for y = 0")
     check_time_start(t)
-    d = np.abs(np.asarray(gap, dtype=float))
+    d = np.abs(points(gap))
     return scalar_or_array(_triple_kernel(2.0, p.lam, t, d, d, d - p.lam * t), gap)
 
 
@@ -111,20 +106,18 @@ def rank_density_degenerate(p: ModelParams, s0: InitialState, t: float, rho1, rh
     """Continuous joint density of the ranks (max, min), degenerate case."""
     check_time_start(t)
     _check_degenerate(p, s0)
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
-    if np.any(rho1 <= rho2):
+    r1, r2 = points(rho1, rho2)
+    if np.any(r1 <= r2):
         raise ParameterError("rank density requires rho1 > rho2")
-    rho1, rho2 = np.broadcast_arrays(rho1, rho2)
     front = front_location(p, s0, t)
-    u = rho1 - 3.0 * rho2 + s0.z
+    u = r1 - 3.0 * r2 + s0.z
     vals = (
         4.0
         * (u + 2.0 * p.g * t)
         / np.sqrt(2.0 * np.pi * t**3)
-        * np.exp(-2.0 * p.lam * (rho1 - rho2) - ((u + p.nu * t) ** 2) / (2.0 * t))
+        * np.exp(-2.0 * p.lam * (r1 - r2) - ((u + p.nu * t) ** 2) / (2.0 * t))
     )
-    return scalar_or_array(np.where(rho2 <= front, vals, 0.0), rho1, rho2)
+    return scalar_or_array(np.where(r2 <= front, vals, 0.0), rho1, rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +132,18 @@ def quadrivariate_density(p: ModelParams, y: float, t: float, side: str, a, b, t
     """
     if side not in ("plus", "minus"):
         raise ParameterError("side must be 'plus' or 'minus'")
-    theta = np.asarray(theta, dtype=float)
-    out = triple_density(p, y, t, a, b) * (np.exp(-(theta**2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
+    th = points(theta)
+    out = triple_density(p, y, t, a, b) * (np.exp(-(th**2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t))
     return scalar_or_array(out, a, b, theta)
 
 
 def quadrivariate_atom_density(p: ModelParams, y: float, t: float, a, theta):
     """f2(a, theta): the no-local-time companion of f1; vanishes at y = 0."""
     _check_triple_domain(y, t)
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(a <= 0):
+    a_pt, th = points(a), points(theta)
+    if np.any(a_pt <= 0):
         raise ParameterError("f2 requires a > 0")
-    out = np.exp(-(theta**2) / (2.0 * t)) / (2.0 * np.pi * t) * _atom_bracket(p.lam, y, t, a)
+    out = np.exp(-(th**2) / (2.0 * t)) / (2.0 * np.pi * t) * _atom_bracket(p.lam, y, t, a_pt)
     if y == 0:
         out = np.zeros_like(out)
     return scalar_or_array(out, a, theta)
@@ -196,9 +188,7 @@ def psi_density(p: ModelParams, y: float, t: float, psi1, psi2):
     if p.gamma <= 0 or p.rho <= 0 or p.sigma <= 0:
         raise ParameterError("psi_density requires rho > sigma > 0 (gamma > 0); reduce by symmetry first")
     args = psi1, psi2
-    check_finite("the point", psi1, psi2)  # a NaN point is on no side and would read 0
-    psi1, psi2 = np.broadcast_arrays(np.atleast_1d(np.asarray(psi1, dtype=float)),
-                                     np.atleast_1d(np.asarray(psi2, dtype=float)))
+    psi1, psi2 = points(psi1, psi2)
     lam, gam = p.lam, p.gamma
     rs = p.rho * p.sigma
     r2, s2 = p.rho**2, p.sigma**2
@@ -283,17 +273,18 @@ def planar_atom(p: ModelParams, s0: InitialState, t: float) -> Optional[AtomLine
         a = planar_atom(p, s0.swapped(), t)
         return replace(a, axis="x1" if a.axis == "x2" else "x2")
     loc = front_location(p, s0, t)
-    return AtomLine("x2", loc, +1, atom_mass(p, s0.y, t),
-                    lambda u: _atom_vals(p, s0.y, t, np.asarray(u) - loc))
+    return AtomLine("x2", loc, +1, atom_mass(p, s0.y, t), lambda u: _atom_vals(p, s0.y, t, u, loc))
 
 
-def _atom_vals(p, y, t, a):
-    a = np.asarray(a, dtype=float)
+def _atom_vals(p, y, t, u, front):
+    """The line density at the points u, in the shape of u: atom_density of
+    the gap a = u - front above the front, 0 at or below it."""
+    a = points(u) - front
     out = np.zeros_like(a)
     ok = a > 0
     if np.any(ok):
         out[ok] = atom_density(p, y, t, a[ok])
-    return out
+    return out.reshape(np.shape(u))
 
 
 @dataclass(frozen=True)
@@ -321,9 +312,7 @@ class DensityGrid:
 
 def density_grid(p: ModelParams, s0: InitialState, t: float, xi1, xi2) -> DensityGrid:
     """Evaluate the continuous density on a product grid, with the atom."""
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    check_finite("the point", xi1, xi2)  # NaN passes the order test: a NaN difference is not <= 0
+    xi1, xi2 = points(xi1), points(xi2)  # before the order test, which a NaN passes
     if np.any(np.diff(xi1) <= 0) or np.any(np.diff(xi2) <= 0):
         raise ParameterError("grids must be strictly increasing")
     values = planar_density(p, s0, t, xi1[:, None], xi2[None, :])

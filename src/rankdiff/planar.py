@@ -20,7 +20,8 @@ import numpy as np
 
 from .bangbang import YPath, TripleBatch, sample_triples, tanaka_residual_series
 from .classifier import SYSTEMS, SqrtConfig, unit_blocks, volatilities
-from .core import InitialState, ModelParams, ParameterError, as_generator, check_counts, check_time_start
+from .core import (InitialState, ModelParams, ParameterError, as_generator, check_counts, check_time_start,
+                   sides)
 
 SystemKind = Union[str, SqrtConfig]  # "B" | "W" | "V" | square-root config
 
@@ -132,7 +133,7 @@ def noise_bundle(path: PlanarPath) -> NoiseBundle:
     u = (_step_units(path) * path.raw_increments[:, None, :]).sum(axis=-1)
     dw1 = np.where(up, u[:, 0], -u[:, 1])
     dw2 = np.where(up, -u[:, 1], u[:, 0])
-    s = np.where(up, 1.0, -1.0)
+    s = sides(path.y_values[:-1])
     return NoiseBundle(path.params, path.times, dw1, dw2, s * dw1, -s * dw2)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bangbang import gap_euler_step, sample_terminal_exact, tanaka_residual_series
 from .core import (ModelParams, ParameterError, SeedSpec, as_generator, check_counts, check_time_start,
-                   scalar_or_array)
+                   points, scalar_or_array, sides)
 from .harness import ks_two_sample
 from .planar import PlanarPath, noise_bundle, ranks
 from .tails import log_gauss_tail, log_norm_sf, norm_sf
@@ -27,12 +27,12 @@ DRIFT_CLAMP = 10.0  # |bhat| <= DRIFT_CLAMP / dt on the final backward steps
 
 
 def _origin_ratio(p: ModelParams, tau: float, xi):
-    """(xi, num / den) of the two y0 = 0 displays, in a = |xi|: the plain
-    form, and the same ratio in log space where a term of den is subnormal or
-    zero (a subnormal term keeps few digits)."""
+    """(the points xi, num / den) of the two y0 = 0 displays, in a = |xi|:
+    the plain form, and the same ratio in log space where a term of den is
+    subnormal or zero (a subnormal term keeps few digits)."""
     check_time_start(tau)
-    lam, xi = p.lam, np.asarray(xi, dtype=float)
-    a = np.atleast_1d(np.abs(xi))
+    lam, xi = p.lam, points(xi)
+    a = np.abs(xi)
 
     def terms(a, phi, expo, tail):
         return (2.0 * lam + a / tau) * phi + 2.0 * lam**2 * expo * tail, phi + lam * expo * tail
@@ -47,7 +47,7 @@ def _origin_ratio(p: ModelParams, tau: float, xi):
         log_tail = -2.0 * lam * au + log_gauss_tail(au, lam * tau, tau)
         top = np.maximum(log_phi, log_tail)
         num[under], den[under] = terms(au, np.exp(log_phi - top), 1.0, np.exp(log_tail - top))
-    return xi, (num / den).reshape(xi.shape)
+    return xi, num / den
 
 
 def q_closed_form_origin(p: ModelParams, tau: float, xi):
@@ -56,8 +56,8 @@ def q_closed_form_origin(p: ModelParams, tau: float, xi):
     Stated for xi <= 0 and extended to xi > 0 by oddness; intended as a
     cross-check on moderate |xi|.
     """
-    xi, ratio = _origin_ratio(p, tau, xi)
-    return scalar_or_array(np.where(xi > 0, -1.0, 1.0) * ratio, xi)
+    x, ratio = _origin_ratio(p, tau, xi)
+    return scalar_or_array(-sides(x) * ratio, xi)
 
 
 def backward_drift_display_origin(p: ModelParams, tau: float, xi):
@@ -66,8 +66,8 @@ def backward_drift_display_origin(p: ModelParams, tau: float, xi):
     Its sign placement is only consistent with the generic score for xi > 0;
     the reconciled drift for all xi is backward_drift(..., y0=0).
     """
-    xi, ratio = _origin_ratio(p, tau, xi)
-    return scalar_or_array(np.where(xi > 0, 1.0, -1.0) * p.lam - ratio, xi)
+    x, ratio = _origin_ratio(p, tau, xi)
+    return scalar_or_array(sides(x) * p.lam - ratio, xi)
 
 
 def q_function(p: ModelParams, y0: float, tau: float, xi):
@@ -80,10 +80,10 @@ def q_function(p: ModelParams, y0: float, tau: float, xi):
     """
     check_time_start(tau, y0)
     lam, tau = p.lam, float(tau)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi_arr = points(xi)
     flip = -1.0 if y0 < 0 else 1.0
     y, a = flip * float(y0), np.abs(xi_arr)
-    s = np.where(flip * xi_arr > 0, 1.0, -1.0)
+    s = sides(flip * xi_arr)
     # each shared term once and each temporary updated in place, in the
     # order of the plain expressions, so that every value rounds as they do
     u = s * y  # a - s y + lam tau: log_t1 and c1
@@ -120,13 +120,12 @@ def backward_drift(p: ModelParams, y0: float, tau: float, xi, mode: str = "trans
     transient: lam*sign(xi) + q(tau, xi) for the horizon started at y0;
     steady_state: exactly -lam*sign(xi), independent of tau and y0.
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    sgn = np.where(xi_arr > 0, 1.0, -1.0)
+    sgn = sides(points(xi))
     if mode == "steady_state":
         return scalar_or_array(-p.lam * sgn, xi)
     if mode != "transient":
         raise ParameterError("mode must be 'transient' or 'steady_state'")
-    return scalar_or_array(p.lam * sgn + q_function(p, y0, tau, xi_arr), xi)
+    return scalar_or_array(p.lam * sgn + q_function(p, y0, tau, xi), xi)
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,12 @@ def simulate_backward(spec: BackwardDriftSpec, yT_draws, n_steps: int, seed=None
     if 0 in pos:
         out[pos[0]] = y
     p = spec.params
-    for k in range(rec_idx.max(initial=0)):
-        tau = spec.T - k * dt
-        b = backward_drift(p, spec.y0, tau, y, mode=spec.mode)
-        b = np.clip(b, -clamp, clamp)
-        y = y + b * dt + rng.standard_normal(n_paths) * sq
+    z = np.empty(n_paths)
+    for k in range(rec_idx.max(initial=0)):  # in place, y <- (y + b dt) + z sqrt(dt)
+        b = backward_drift(p, spec.y0, spec.T - k * dt, y, mode=spec.mode)
+        np.clip(b, -clamp, clamp, out=b)
+        y += np.multiply(b, dt, out=b)
+        y += np.multiply(rng.standard_normal(out=z), sq, out=z)
         if (k + 1) in pos:
             out[pos[k + 1]] = y
     return rec_idx * dt, out
@@ -264,7 +264,7 @@ def backward_rank_drift_report(p: ModelParams, paths: Sequence[PlanarPath]) -> R
         r1, r2 = ranks(path)
         # reversed series; backward-left endpoints are forward-right ones
         y_rev = y[::-1]
-        s_rev = np.where(y_rev[:-1] > 0, 1.0, -1.0)
+        s_rev = sides(y_rev[:-1])
         dv_sharp = s_rev * (-dw[::-1]) + 2.0 * lam * dt
         v_sharp = np.concatenate([[0.0], np.cumsum(dv_sharp)])
         q_tilde = np.concatenate([[0.0], np.cumsum(-dq[::-1])])

@@ -81,9 +81,9 @@ def _masses_degenerate(p: ModelParams, s0: InitialState, t: float):
         vals = grid_values(lambda u, w: f(w + u, w + 0 * u), pu, pw)
         return float(np.einsum("i,j,ij->", wu, ww, vals))
 
+    # the wedge of (lo, hi) is the wedge of (hi, lo) at the same points: twice its mass
     joint = mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, hi, lo))
-    joint += mass(lambda hi, lo: densities.joint_density_degenerate(p, s0, t, lo, hi))
-    return joint, mass(lambda hi, lo: densities.rank_density_degenerate(p, s0, t, hi, lo))
+    return joint + joint, mass(lambda hi, lo: densities.rank_density_degenerate(p, s0, t, hi, lo))
 
 
 # ---------------------------------------------------------------------------

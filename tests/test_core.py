@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdiff.core import (InitialState, ParameterError, SeedSpec, sign,
+from rankdiff.core import (InitialState, ParameterError, SeedSpec, sides, sign,
                            validate_params)
 
 
@@ -29,6 +30,17 @@ def test_sign_vectorized_and_never_zero():
 def test_sign_rejects_nonfinite(bad):
     with pytest.raises(ParameterError):
         sign(bad)
+
+
+def test_sides_is_the_where_rule_bit_for_bit():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf])
+    ref = np.where(x > 0, 1.0, -1.0)
+    assert sides(x).tobytes() == ref.tobytes()
+    assert sides(x.reshape(2, 4)).tobytes() == ref.tobytes()
+    for v, r in zip(x, ref):
+        assert np.float64(sides(v)).tobytes() == r.tobytes()
+        assert np.float64(sides(float(v))).tobytes() == r.tobytes()
+    assert sides(np.array([math.nan])).tobytes() == np.where(np.array([math.nan]) > 0, 1.0, -1.0).tobytes()
 
 
 def test_validate_params_figure_case():
@@ -173,6 +185,69 @@ def test_return_rule_float_for_scalars_ndarray_otherwise(name):
     if len(args) > 1:  # every argument an array: the broadcast shape
         out = law(*[np.full((3, 1) if i == 0 else (2,), a) for i, a in enumerate(args)])
         assert type(out) is np.ndarray and out.shape == (3, 2)
+
+
+def _point_laws():
+    """name: (law of the point arguments only, their finite scalar values)."""
+    from rankdiff import timereversal
+    import rankdiff as rd
+
+    p_iso = validate_params(1.0, 0.5, 1.0, 1.0, renormalize=True)
+    p_deg, p_deg0 = validate_params(1.0, 1.0, 1.0, 0.0), validate_params(1.0, 1.0, 0.0, 1.0)
+    p_gen = validate_params(1.0, 0.5, 0.8, 0.6)
+    s0, s_tie = InitialState(0.3, 0.0), InitialState(0.1, 0.1)
+    line, line0 = rd.planar_atom(p_deg, s0, 1.0), rd.planar_atom(p_deg0, s0, 1.0)
+    return {
+        "sign": (rd.sign, (0.3,)),
+        "transition_density": (lambda xi: rd.transition_density(p_gen, 1.0, 0.2, xi), (-0.4,)),
+        "invariant_density": (lambda xi: rd.invariant_density(p_gen, xi), (-0.4,)),
+        "atom_density": (lambda a: rd.atom_density(p_gen, 0.3, 1.0, a), (0.4,)),
+        "triple_density": (lambda a, b: rd.triple_density(p_gen, 0.3, 1.0, a, b), (0.4, 0.2)),
+        "joint_density_isotropic":
+            (lambda a, b: rd.joint_density_isotropic(p_iso, s0, 1.0, a, b), (0.1, -0.2)),
+        "joint_density_degenerate":
+            (lambda a, b: rd.joint_density_degenerate(p_deg, s0, 1.0, a, b), (0.6, -0.2)),
+        "psi_density": (lambda a, b: rd.psi_density(p_gen, 0.3, 1.0, a, b), (0.1, -0.2)),
+        "planar_density": (lambda a, b: rd.planar_density(p_gen, s0, 1.0, a, b), (0.1, -0.2)),
+        "density_grid": (lambda a, b: rd.density_grid(p_deg, s0, 1.0, np.append(a, 9.0),
+                                                      np.append(b, 9.0)), (0.6, -0.2)),
+        "atom_line_density": (lambda a: rd.atom_line_density(p_deg, s0, 1.0, a), (1.6,)),
+        "planar_atom-density": (line.density, (1.6,)),
+        "planar_atom-density-rho0": (line0.density, (-1.6,)),
+        "front_jump": (lambda d: rd.front_jump(p_deg, s_tie, 1.0, d), (0.4,)),
+        "rank_density_degenerate":
+            (lambda a, b: rd.rank_density_degenerate(p_deg, s0, 1.0, a, b), (0.6, -0.2)),
+        "quadrivariate_density":
+            (lambda a, b, th: rd.quadrivariate_density(p_gen, 0.3, 1.0, "plus", a, b, th),
+             (0.4, 0.2, -0.1)),
+        "quadrivariate_atom_density":
+            (lambda a, th: rd.quadrivariate_atom_density(p_gen, 0.3, 1.0, a, th), (0.4, -0.1)),
+        "q_function": (lambda xi: rd.q_function(p_gen, 0.2, 0.7, xi), (-0.4,)),
+        "backward_drift-transient": (lambda xi: rd.backward_drift(p_gen, 0.2, 0.7, xi), (-0.4,)),
+        "backward_drift-steady_state":
+            (lambda xi: rd.backward_drift(p_gen, 0.2, 0.7, xi, mode="steady_state"), (-0.4,)),
+        "q_closed_form_origin": (lambda xi: timereversal.q_closed_form_origin(p_gen, 0.7, xi), (-0.4,)),
+        "backward_drift_display_origin":
+            (lambda xi: timereversal.backward_drift_display_origin(p_gen, 0.7, xi), (-0.4,)),
+    }
+
+
+POINT_LAWS = _point_laws()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_LAWS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_point_law_rejects_a_non_finite_point(name, bad):
+    # NaN read as 0.0 (the atom line, planar_atom's density, the rank law) or
+    # as lam (the steady-state drift); +inf read as 0.0 or ran into a RuntimeWarning
+    law, args = POINT_LAWS[name]
+    law(*args)  # the finite values are valid
+    for k in range(len(args)):
+        for point in (bad, np.array([args[k] - 0.1, bad, args[k] + 0.1])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="point must be finite"):
+                    law(*[point if i == k else a for i, a in enumerate(args)])
 
 
 def test_public_names_pinned():
