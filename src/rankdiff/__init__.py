@@ -8,9 +8,8 @@ time reversal of the gap process.
 
 from .core import (InitialState, ModelParams, ParameterError, SeedSpec, sign,
                    validate_params)
-from .bangbang import (TripleDraw, YPath, atom_density, atom_mass,
-                       invariant_density, occupation_local_time, sample_triple,
-                       sample_triples, simulate_y, tanaka_residual_local_time,
+from .bangbang import (YPath, atom_density, atom_mass, invariant_density,
+                       occupation_local_time, sample_triples, simulate_y,
                        transition_density, triple_density)
 from .planar import (NoiseBundle, PlanarPath, TerminalSample, euler_simulate,
                      euler_terminal_batch, exact_sample_terminal, gap_path_of,

@@ -219,10 +219,6 @@ def tanaka_residual_series(y_values: np.ndarray, last: bool = False) -> np.ndarr
 tanaka_residual_matrix = tanaka_residual_series  # the batch name the benchmark calls
 
 
-def tanaka_residual_local_time(path: YPath) -> np.ndarray:
-    return tanaka_residual_series(path.y_values)
-
-
 def occupation_local_time(path: YPath, eps: float) -> np.ndarray:
     """Occupation-time estimator (1/(4 eps)) * sum 1{|Y| < eps} dt."""
     if not eps > 0:
@@ -250,24 +246,6 @@ def skorokhod_local_time_series(y: np.ndarray, dw: np.ndarray, times: np.ndarray
 # ---------------------------------------------------------------------------
 # joint law of (side, |Y(t)|, 2 L(t))
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TripleDraw:
-    """One exact draw of (side, a, b) = (sign of Y(t), |Y(t)|, 2 L(t))."""
-
-    side: str  # "plus" or "minus"
-    a: float
-    b: float
-    atom: bool
-
-    def __post_init__(self):
-        if self.side not in ("plus", "minus"):
-            raise ValueError("side must be 'plus' or 'minus'")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be nonnegative")
-        if self.atom != (self.b == 0.0):
-            raise ValueError("atom flag must mark exactly b == 0")
-
 
 def _check_triple_domain(y, t):
     check_time_start(t, y)
@@ -491,14 +469,3 @@ def sample_triples(p: ModelParams, y: float, t: float, n: int, seed=None) -> Tri
         a[cont] = a_cont
         b[cont] = s - a_cont - y
     return TripleBatch(side, a, b, is_atom)
-
-
-def sample_triple(p: ModelParams, y: float, t: float, seed=None) -> TripleDraw:
-    """One exact draw from the (side, a, b) law."""
-    batch = sample_triples(p, y, t, 1, seed)
-    return TripleDraw(
-        side="plus" if batch.sides[0] > 0 else "minus",
-        a=float(batch.a[0]),
-        b=float(batch.b[0]),
-        atom=bool(batch.atom[0]),
-    )

@@ -300,6 +300,7 @@ def binomial_z(count: int, n: int, prob: float) -> float:
 
 CSV_FORMAT_VERSION = "rankdiff-csv/1"
 CSV_BLOCK_ROWS = 4096  # rows per formatting call of a float table; bounds the temporaries
+CSV_BLOCK_CELLS = 2**15  # and cells, so that a wide table keeps them as small
 
 
 def format_cell(v) -> str:
@@ -311,35 +312,53 @@ def format_cell(v) -> str:
 # The "%.17g" kernel.  A finite nonzero double x prints as the 17 digits of
 # N = round(|x| 10**(16 - E)), 10**16 <= N < 10**17, with decimal exponent E:
 # in fixed notation for -4 <= E < 17, else as d.ddd e±XX; trailing zeros and
-# a bare point are dropped.  A cell's bytes are assembled in a scratch row of
-# _G17_WIDTH bytes: 0-7 the right-aligned prefix ("-", "0.00", ...), 8-31 the
-# digits of N, into which the point and, in fixed notation, the separator
-# are then inserted, 32-39 the right-aligned exponent and separator.  One
-# boolean mask per block keeps each cell's bytes.  The layout depends only on a key (ends a row, sign,
-# class, index of the last significant digit), where the class is E + 4 for
-# fixed notation, 21-24 for two- or three-digit negative or positive
-# exponents, and 25 for a zero.
-_G17_WIDTH = 40
+# a bare point are dropped.  N comes from y = |x| 10**(16 - E) in float64
+# double-double: 10**(16 - E) is a table pair hi + lo, x hi is split exactly
+# into p + e1 (Dekker's TwoProduct), and l = e1 + x lo.  For y < 10**17 three
+# roundings remain: of lo and of x lo, each moving l by less than 1.24e-15,
+# and of the sum, less than 1.78e-15.  So p + l is within 5e-15 of y, and
+# N = p + rint(l) is certain wherever l is farther than that from a tie
+# (_g17_decimal).  A cell's bytes are assembled
+# in a scratch row of _G17_WIDTH bytes: 0-7 the right-aligned prefix ("-",
+# "0.00", ...), 8-31 the digits of N, into which the point and, in fixed
+# notation, the separator are then inserted; in exponent notation the
+# digits end by byte 25 and the exponent and separator, right-aligned, take
+# bytes 26-31.  One boolean mask per block keeps each cell's bytes.  The
+# layout depends only on a key (ends a row, sign, class, index of the last
+# significant digit), where the class is E + 4 for fixed notation, 21-24 for
+# two- or three-digit negative or positive exponents, and 25 for a zero.
+_G17_WIDTH = 32
 _G17_E0 = 330  # offset of the decimal exponent in the tables indexed by it
 _G17_CLASSES = 26
 _G17_KEYS = 2 * 2 * _G17_CLASSES * 17
+_G17_RANGE = 1e-250, 1e250  # |x| the double-double stage takes; the rest go to "%"
+_G17_DD = 260  # offset of E in the power table; |E| <= 251 in that range
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
 
 @functools.lru_cache(maxsize=None)
 def _g17_tables():
-    """(bound, pow10, quad, expo, classes, prefix, blend, keep), built on first use.
+    """(p10, quad, zeros, expo, classes, prefix, blend, keep), built on first use.
 
-    pow10[309 - E] is 10**(16 - E) correctly rounded to long double, for
-    every E a double can have, +-1.  quad[g] is the four digits of g.
+    p10 is two tables indexed by E + _G17_DD: hi, the double nearest
+    10**(16 - E), and lo, the double nearest 10**(16 - E) - hi.  quad[g] is
+    the four digits of g, zeros[g] their trailing zeros.
     expo[2 (E + _G17_E0) + ends_row] is the exponent word.  By key: prefix
     is the prefix word, blend[w] the masks of the w-th digit word (digits
     in place, digits shifted one byte right, the point and separator), keep
     the cell's mask.
     """
-    pow10 = np.array([np.longdouble(f"1e{k}") for k in range(-293, 342)])  # strtold rounds exactly
+    p10 = []
+    for e in range(-_G17_DD, _G17_DD + 1):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = num / den  # int / int rounds correctly, as does each division below
+        a, b = hi.as_integer_ratio()
+        p10.append((hi, (num * b - a * den) / (den * b)))
+    p10 = tuple(np.array(t) for t in zip(*p10))
     quad = np.frombuffer("".join(f"{g:04d}" for g in range(10_000)).encode(), np.uint32)
+    zeros = np.array([4 - len(f"{g:04d}".rstrip("0")) for g in range(10_000)], np.intp)
     exps = range(-_G17_E0, _G17_E0)
-    expo = np.frombuffer("".join(f"e{e:+03d}{s}".rjust(8) for e in exps for s in ",\n").encode(),
+    expo = np.frombuffer("".join(f"e{e:+03d}{s}".rjust(8, "\0") for e in exps for s in ",\n").encode(),
                          np.uint64)
     classes = np.array([e + 4 if -4 <= e <= 16 else 21 + 2 * (e > 0) + (abs(e) >= 100)
                         for e in exps], np.intp)
@@ -371,59 +390,86 @@ def _g17_tables():
             keep[k + 8 + n_dig] = 1
     words = [np.frombuffer(m, np.uint64).reshape(_G17_KEYS, 3) for m in blend]
     blend = tuple(tuple(np.ascontiguousarray(m[:, w]) for m in words) for w in range(3))
-    return (float(2 * np.finfo(np.longdouble).epsneg * 1e17), pow10, quad, expo, classes,
-            np.frombuffer(prefix, np.uint64), blend,
+    return (p10, quad, zeros, expo, classes, np.frombuffer(prefix, np.uint64), blend,
             np.frombuffer(keep, np.uint64).reshape(_G17_KEYS, _G17_WIDTH // 8))
+
+
+def _veltkamp(a: np.ndarray):
+    """(high, low): a split exactly into two halves of at most 26 bits each."""
+    c = a * _SPLIT
+    high = c - a
+    np.subtract(c, high, out=high)
+    return high, np.subtract(a, high, out=c)
+
+
+def _g17_scaled(x: np.ndarray, e: np.ndarray, p10):
+    """(N, d) for y = x 10**(16 - E): N = p + rint(l) as int64 and d = l - rint(l),
+    where p + l is y in double-double (Dekker's TwoProduct, Veltkamp split)."""
+    i = e + _G17_DD
+    hi, lo = np.take(p10[0], i), np.take(p10[1], i)
+    p = x * hi                  # an integer wherever y >= 2**53
+    xh, xl = _veltkamp(x)
+    hh, hl = _veltkamp(hi)
+    l = xh * hh - p             # with the next three lines exactly x hi - p (Dekker)
+    l += xh * hl
+    l += xl * hh
+    l += xl * hl
+    l += x * lo
+    r = np.rint(l)
+    l -= r                      # exact: l and rint(l) are within 1/2
+    return p.astype(np.int64) + r.astype(np.int64), l
 
 
 def _g17_decimal(ax: np.ndarray):
     """(e, big, ok) for |x| = ax: decimal exponent E, N as uint64, and
     whether N is certain to be the digits "%.17g" prints.
 
-    Exactness: x is exact in long double (a 64-bit mantissa on x86-64) and
-    10**(16 - E) is correctly rounded, so y = |x| 10**(16 - E) carries two
-    roundings, each of relative size at most epsneg; for y < 10**17 they
-    move it by less than bound = 2 epsneg 1e17 ~ 0.011.  N = round(y) is
-    then the correctly rounded digits of x whenever y is farther than bound
-    from a tie (N + 1/2) and from the decade ends 10**16 and 10**17.  Zeros
-    are certified; NaN and +-inf are not.  Where long double is a double,
-    bound exceeds 1/2 and no nonzero cell is certified.
+    Exactness.  Let t = 10**(16 - E) = hi + lo + dt, u = 2**-53, and y = x t,
+    so y < 10**17 for every certified cell.  TwoProduct gives x hi = p + e1
+    exactly, and l = fl(e1 + fl(x lo)) misses y - p by at most
+      |x dt|                 <= u**2 y < 1.24e-15, as dt, the rounding of lo,
+                                is at most u |t - hi| <= u**2 t;
+      |fl(x lo) - x lo|      <= u |x lo| <= u**2 y (1 + u) < 1.24e-15;
+      |fl(e1 + fl(x lo)) - (e1 + fl(x lo))| <= 2**-49 < 1.78e-15, half an ulp
+                                in [16, 32), as |e1| <= 8 (p < 2**57) and |x lo| < 12;
+    together less than bound = 5e-15.  So N = p + rint(l) is the correctly
+    rounded round(y) wherever |l - rint(l)| < 1/2 - bound, and those cells
+    with 10**16 <= N < 10**17 are certified.  At N = 10**16 the true y may
+    lie just below the decade, where "%.17g" takes the lower exponent; it
+    rounds 10 y up to 10**17 there, the same bytes, whenever l - rint(l) >
+    -0.05 + bound, so only those cells are.  Zeros are certified; NaN,
+    +-inf and |x| outside _G17_RANGE, where the split could overflow or a
+    partial product lose bits, are not.
     """
-    bound, pow10 = _g17_tables()[:2]
-    finite = (ax != 0) & (ax < np.inf)
-    safe = np.where(finite, ax, 1.0)
-    e = np.floor(np.log10(safe)).astype(np.intp)  # may be one off next to a power of ten
-    ld = safe.astype(np.longdouble)
-    with np.errstate(invalid="ignore"):  # an inf from an overflowed pow10, never certified
-        y = ld * pow10[309 - e]
-        big = (y + 0.5).astype(np.uint64)
-        off = (big >= 10**17).astype(np.intp) - (big < 10**16)
-        fix = np.flatnonzero(off)
-        if fix.size:
-            e[fix] += off[fix]
-            y[fix] = ld[fix] * pow10[309 - e[fix]]
-            big[fix] = (y[fix] + 0.5).astype(np.uint64)
-        d = (y - big.astype(np.longdouble)).astype(np.float64)  # exact
-    ok = (np.abs(d) < 0.5 - bound) & (big < 10**17) & (big >= 10**16)
-    ok &= (big > 10**16) | (d > bound)
-    ok &= finite
+    bound, p10 = 5e-15, _g17_tables()[0]
+    ok = (ax >= _G17_RANGE[0]) & (ax <= _G17_RANGE[1])
+    x = np.where(ok, ax, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)  # may be one off next to a power of ten
+    big, d = _g17_scaled(x, e, p10)
+    off = (big >= 10**17).astype(np.intp) - (big < 10**16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        e[fix] += off[fix]
+        big[fix], d[fix] = _g17_scaled(x[fix], e[fix], p10)
+    ok &= np.abs(d) < 0.5 - bound
+    ok &= (big < 10**17) & (big >= 10**16)
+    ok &= (big > 10**16) | (d > bound - 0.05)
     ok |= ax == 0
-    return e, big, ok
+    return e, big.view(np.uint64), ok
 
 
 def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
     """The "%.17g" of each cell, each followed by "," or, where ends_row,
-    "\\n", as a uint8 view into `work`.
+    "\\n", as a uint8 array of the kept bytes.
 
-    `work` is (3, at least n _G17_WIDTH) uint8 scratch for the cell rows,
-    their mask and the kept bytes, allocated once per table: allocating
-    these per block fragments the heap between the blocks' text and raised
-    the peak memory of a CLI run by about 5%.  The cells _g17_decimal does not
-    certify -- NaN, +-inf, the near-ties and the decade edges, about 2% of
-    a path table -- are formatted by one batched "%.17g" % call and spliced
-    in.
+    `work` is (2, at least n _G17_WIDTH) uint8 scratch for the cell rows
+    and their mask, allocated once per table: allocating these per block
+    fragments the heap between the blocks' text and raised the peak memory
+    of a CLI run by about 5%.  The cells _g17_decimal does not certify --
+    NaN, +-inf, near-ties and |x| outside _G17_RANGE, none in the tables the
+    CLI writes -- are formatted by one batched "%.17g" % call and spliced in.
     """
-    _, _, quad, expo, classes, prefix, blend, keep_t = _g17_tables()
+    _, quad, zeros, expo, classes, prefix, blend, keep_t = _g17_tables()
     n = cells.size
     out = work[0, :n * _G17_WIDTH].reshape(n, _G17_WIDTH)
     ax = np.abs(cells)
@@ -436,19 +482,20 @@ def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
     mid = hi - lead * 100_000_000
     out[:, 8] = lead + 48
     quads = out[:, 9:25].view(np.uint32)
+    groups = []
     for j, part in ((0, mid), (2, lo)):
         q = part // 10_000
+        groups += [q, part - q * 10_000]
         quads[:, j] = quad[q]
-        quads[:, j + 1] = quad[part - q * 10_000]
-    # index of the last significant digit: strip trailing zeros of N
-    last = np.full(n, 16, np.intp)
-    r = np.flatnonzero(lo % 10 == 0)
-    v = big[r]
-    while r.size:
-        last[r] -= 1
-        v //= 10
-        more = (v % 10 == 0) & (v != 0)
-        r, v = r[more], v[more]
+        quads[:, j + 1] = quad[groups[-1]]
+    # index of the last significant digit: 16 less the trailing zeros of N,
+    # taken four digits at a time; D0 is never 0
+    last = 16 - np.take(zeros, groups[3])
+    r = np.flatnonzero(groups[3] == 0)
+    for g in groups[2::-1]:
+        g = g[r]
+        last[r] -= zeros[g]
+        r = r[g == 0]
     c = np.take(classes, e + _G17_E0)
     c[ax == 0] = 25
     key = ((ends_row * 2 + np.signbit(cells)) * _G17_CLASSES + c) * 17 + last
@@ -465,8 +512,8 @@ def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
         word |= shifted
         word |= np.take(added, key, out=tmp)
     np.take(prefix, key, out=words[:, 0])
-    ex = np.flatnonzero((c >= 21) & (c <= 24))
-    words[ex, 4] = expo[(e[ex] + _G17_E0) * 2 + ends_row[ex]]
+    ex = np.flatnonzero((c >= 21) & (c <= 24))  # the exponent after D15 and D16, at bytes 24-25
+    words[ex, 3] = (words[ex, 3] & np.uint64(0xFFFF)) | expo[(e[ex] + _G17_E0) * 2 + ends_row[ex]]
     keep = np.take(keep_t, key, axis=0, out=work[1, :out.size].view(np.uint64).reshape(n, -1))
     keep = keep.view(bool)
     fb = np.flatnonzero(~ok)
@@ -476,22 +523,24 @@ def _g17_block(cells: np.ndarray, ends_row: np.ndarray, work: np.ndarray):
         length = np.fromiter(map(len, text), np.intp, fb.size)
         out[fb, length] = np.where(ends_row[fb], 10, 44)
         keep[fb] = np.arange(_G17_WIDTH) <= length[:, None]
-    return np.compress(keep.ravel(), out.ravel(), out=work[2, :np.count_nonzero(keep)])
+    return out.ravel()[keep.ravel()]
 
 
 def _float_body(rows: np.ndarray):
     """The body of a 2-D float64 table with at least one column, yielded as
-    one string per block of CSV_BLOCK_ROWS rows, each ending in "\\n".
+    one string per block of rows, each ending in "\\n".  A block is
+    CSV_BLOCK_ROWS rows, or fewer where that would pass CSV_BLOCK_CELLS.
 
     Each cell is exactly "%.17g" % value, what format_cell gives a float:
     _g17_block certifies most cells and formats the rest with "%".
     """
     n_rows, n_cols = rows.shape
-    cap = min(n_rows, CSV_BLOCK_ROWS) * n_cols
-    work = np.empty((3, cap * _G17_WIDTH), np.uint8)
+    step = max(1, min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // n_cols))
+    cap = min(n_rows, step) * n_cols
+    work = np.empty((2, cap * _G17_WIDTH), np.uint8)
     ends_row = np.tile(np.arange(n_cols) == n_cols - 1, cap // n_cols).astype(np.intp)
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS].ravel()
+    for start in range(0, n_rows, step):
+        block = rows[start:start + step].ravel()
         yield codecs.ascii_decode(_g17_block(block, ends_row[:block.size], work))[0]
 
 
@@ -512,12 +561,11 @@ def write_text(path: str, parts: Iterable[str]) -> str:
 def write_csv(path: str, name: str, columns: Sequence[str], rows, meta: Optional[dict] = None) -> str:
     """Write a versioned CSV a row or block at a time and return its text;
     deterministic formatting, byte-stable.  `rows` is an iterable of rows, or
-    a 2-D float64 array, whose body is formatted in blocks of CSV_BLOCK_ROWS
-    rows by a vectorised kernel with the same bytes as "%.17g" per cell.  The
-    kernel keeps a cell's 17 digits only where the two roundings of its
-    long-double scaling, together at most 2 epsneg 1e17 ~ 0.011, cannot change
-    them (_g17_decimal); NaN, +-inf, near-ties and decade edges fall back to
-    "%" (_g17_block)."""
+    a 2-D float64 array, whose body is formatted in blocks of rows by a
+    vectorised kernel with the same bytes as "%.17g" per cell.  The kernel
+    keeps a cell's 17 digits only where the error of its double-double
+    scaling, less than 5e-15, cannot change them (_g17_decimal); NaN, +-inf,
+    near-ties and |x| outside [1e-250, 1e250] fall back to "%" (_g17_block)."""
     meta_str = "".join(f" {k}={format_cell(v)}" for k, v in (meta or {}).items())
     head = f"# {CSV_FORMAT_VERSION} table={name}{meta_str}\n{','.join(columns)}\n"
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64 and rows.shape[1]:

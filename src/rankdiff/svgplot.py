@@ -77,9 +77,12 @@ def _svg_parts(grid: DensityGrid, title: str):
     xa, xb = sx(xe[:-1]), sx(xe[1:])
     ya, yb = sy(ye[1:]), sy(ye[:-1])
     rgb = _colors(vals / vmax)
-    n2 = len(xi2)
-    for i in range(len(xi1)):  # one block of n2 cells per xi1 column
-        yield _rects(np.full(n2, xa[i]), ya, np.full(n2, xb[i] - xa[i]), yb - ya, rgb[i])
+    # one xi1 column of <rect>s per part: y and height are formatted once per
+    # row, x and width once per column, and the column's colours by one "%"
+    column = "".join(f'<rect x="\0" y="{_fmt(a)}" width="\1" height="{_fmt(h)}" fill="#%06x"/>\n'
+                     for a, h in zip(ya.tolist(), (yb - ya).tolist()))
+    for a, b, c in zip(xa.tolist(), (xb - xa).tolist(), rgb):
+        yield column.replace("\0", _fmt(a)).replace("\1", _fmt(b)) % tuple(c.tolist())
     # axes frame and min/max labels
     yield (f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1p - x0)}" '
            f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>\n'

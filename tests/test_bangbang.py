@@ -427,10 +427,10 @@ def test_samplers_reject_negative_sizes_and_accept_zero():
 
 def test_single_draw_wrapper():
     p = params(1.0)
-    d = bangbang.sample_triple(p, 0.4, 1.0, SeedSpec(57))
-    assert d.side in ("plus", "minus")
-    assert d.a >= 0 and d.b >= 0
-    assert d.atom == (d.b == 0.0)
+    d = bangbang.sample_triples(p, 0.4, 1.0, 1, SeedSpec(57))
+    assert len(d) == 1 and d.sides[0] in (-1.0, 1.0)
+    assert d.a[0] >= 0 and d.b[0] >= 0
+    assert d.atom[0] == (d.b[0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_public_names_pinned():
         "AtomLine", "BackwardDriftSpec", "DensityGrid", "ExperimentConfig", "GofReport",
         "InitialState", "ModelParams", "NoiseBundle", "ParameterError", "PiecewiseBV",
         "PlanarPath", "SeedSpec", "SqrtConfig", "StrengthVerdict", "TerminalSample",
-        "TripleDraw", "YPath", "atom_density", "atom_line_density", "atom_mass",
+        "YPath", "atom_density", "atom_line_density", "atom_mass",
         "backward_drift", "backward_rank_drift_report", "bangbang", "build_config",
         "classifier", "core", "densities", "density_grid", "emit_svg_heatmap",
         "enumerate_diagonal_roots", "euler_simulate", "euler_terminal_batch",
@@ -265,9 +265,9 @@ def test_public_names_pinned():
         "occupation_local_time", "planar", "planar_atom", "planar_density", "psi_density",
         "q_function", "quadrivariate_atom_density", "quadrivariate_density",
         "rank_density_degenerate", "rank_residuals", "ranks", "run_validation_suite",
-        "sample_triple", "sample_triples", "sign", "simulate_backward", "simulate_y",
+        "sample_triples", "sign", "simulate_backward", "simulate_y",
         "skew_construct", "strength", "svgplot", "tails", "tanaka_coalescence_experiment",
-        "tanaka_residual_local_time", "timereversal", "transition_density", "triple_density",
+        "timereversal", "transition_density", "triple_density",
         "validate_params", "validation",
     ]
 
