@@ -11,7 +11,10 @@ resumed by running the same command again.  The summary printed and stored
 under "summary" gives, per end-to-end metric, both medians and quartiles,
 the parent's IQR, the wins (pairs in which the change reads better),
 gain_rule_met: at least nine wins in ten and a median gap wider than the
-parent's IQR, in the better direction, and the no-regression verdict:
+parent's IQR, in the better direction, the median of change - parent over
+the pairs the parent ran first (gap_parent_first) and over those the change
+ran first (gap_change_first), which shows a run-order effect, and the
+no-regression verdict:
 within_bound, the change's median worse than the parent's by at most the
 metric's `bound` from BENCHMARK.json (a fraction of the parent's median;
 failed_ops_frac has none and may not grow at all), and unresolved, the
@@ -56,11 +59,14 @@ def summarise(runs, spec):
         p_med, c_med = statistics.median(pv), statistics.median(cv)
         slack = 0.0 if bound is None else bound * abs(p_med)
         beats_all = max(sign * c for c in cv) < min(sign * p for p in pv)  # the worst change run wins
+        gaps = [c - p for p, c in zip(pv, cv)]  # in pair k the parent ran first when k is even
         out["metrics"][m] = {
             "better": better, "bound": bound, "parent_median": p_med, "parent_q1": pq[0], "parent_q3": pq[2],
             "parent_iqr": pq[2] - pq[0], "change_median": c_med, "change_q1": cq[0],
             "change_q3": cq[2], "change_vs_parent": c_med / p_med - 1 if p_med else 0.0,
             "wins": wins, "losses": losses, "ties": n - wins - losses,
+            "gap_parent_first": statistics.median(gaps[0::2]),
+            "gap_change_first": statistics.median(gaps[1::2]),
             "gain_rule_met": wins >= 0.9 * n and sign * (c_med - p_med) < -(pq[2] - pq[0]),
             "within_bound": sign * (c_med - p_med) <= slack,
             "unresolved": bound is not None and pq[2] - pq[0] > slack and not beats_all}
@@ -101,6 +107,7 @@ def main(argv=None):
         print(f"{m:16s} parent {v['parent_median']:.4g} (IQR {v['parent_iqr']:.3g})  "
               f"change {v['change_median']:.4g}  {100 * v['change_vs_parent']:+.1f}%  "
               f"wins {v['wins']}/{args.pairs}  rule met: {v['gain_rule_met']}  "
+              f"gap parent/change first {v['gap_parent_first']:+.3g}/{v['gap_change_first']:+.3g}  "
               f"within_bound: {v['within_bound']}" + ("  unresolved" if v["unresolved"] else ""))
     return 0
 

@@ -8,9 +8,9 @@ time reversal of the gap process.
 
 from .core import (InitialState, ModelParams, ParameterError, SeedSpec, sign,
                    validate_params)
-from .bangbang import (YPath, atom_density, atom_mass, invariant_density,
-                       occupation_local_time, sample_triples, simulate_y,
-                       transition_density, triple_density)
+from .bangbang import (YPath, atom_density, atom_mass, euler_gap_path, invariant_density,
+                       occupation_local_time, sample_triples, transition_density,
+                       triple_density)
 from .planar import (NoiseBundle, PlanarPath, TerminalSample, euler_simulate,
                      euler_terminal_batch, exact_sample_terminal, gap_path_of,
                      noise_bundle, rank_residuals, ranks, skew_construct)

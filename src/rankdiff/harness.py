@@ -31,6 +31,9 @@ from .tails import special
 # reports and configuration
 # ---------------------------------------------------------------------------
 
+GOF_COLUMNS = ("kind", "name", "statistic", "tolerance", "mode", "n", "p_value", "passed", "note")
+
+
 @dataclass(frozen=True)
 class GofReport:
     """One goodness-of-fit verdict.
@@ -56,18 +59,10 @@ class GofReport:
             return self.statistic >= self.tolerance
         raise ValueError(f"unknown mode {self.mode!r}")
 
-    def row(self) -> dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "statistic": self.statistic,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "n": self.n,
-            "p_value": float("nan") if self.p_value is None else self.p_value,
-            "passed": int(self.passed),
-            "note": self.note,
-        }
+    def row(self) -> list:
+        """The report's cells in the order of GOF_COLUMNS."""
+        return [self.kind, self.name, self.statistic, self.tolerance, self.mode, self.n,
+                float("nan") if self.p_value is None else self.p_value, int(self.passed), self.note]
 
 
 @dataclass(frozen=True)
@@ -573,12 +568,6 @@ def write_csv(path: str, name: str, columns: Sequence[str], rows, meta: Optional
     else:
         body = (",".join(format_cell(v) for v in row) + "\n" for row in rows)
     return write_text(path, itertools.chain([head], body))
-
-
-def reports_to_rows(reports: Sequence[GofReport]):
-    cols = ["kind", "name", "statistic", "tolerance", "mode", "n", "p_value", "passed", "note"]
-    rows = [[r.row()[c] for c in cols] for r in reports]
-    return cols, rows
 
 
 # ---------------------------------------------------------------------------

@@ -302,9 +302,6 @@ class TerminalSample:
     x2: np.ndarray
     triples: TripleBatch
 
-    def __len__(self):
-        return len(self.x1)
-
     @property
     def atom_fraction(self) -> float:
         return float(self.triples.atom.mean())

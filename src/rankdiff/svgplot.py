@@ -21,9 +21,6 @@ _VIRIDIS = np.array([
 ], dtype=float)
 
 
-_RECT = '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="#%06x"/>'
-
-
 def _colors(v: np.ndarray) -> np.ndarray:
     """Viridis colour of each value, clipped to [0, 1], packed as 0xRRGGBB.
 
@@ -36,16 +33,18 @@ def _colors(v: np.ndarray) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
-def _rects(x, y, w, h, rgb) -> str:
-    """One filled <rect> line per element of the equal-length arrays."""
-    fields = [None] * (5 * len(rgb))
-    for k, col in enumerate((x, y, w, h, rgb)):
-        fields[k::5] = col.tolist()
-    return (_RECT + "\n") * len(rgb) % tuple(fields)
-
-
 def _fmt(x: float) -> str:
     return "%.6g" % x
+
+
+def _columns(x, w, y, h, rgb):
+    """The filled <rect>s of cells (x[i], y[j], w[i], h[j]) coloured rgb[i, j],
+    one string per column i: y and height are formatted once per row, x and
+    width once per column, and a column's colours by one "%"."""
+    column = "".join(f'<rect x="\0" y="{_fmt(a)}" width="\1" height="{_fmt(b)}" fill="#%06x"/>\n'
+                     for a, b in zip(y.tolist(), h.tolist()))
+    for a, b, c in zip(x.tolist(), w.tolist(), rgb):
+        yield column.replace("\0", _fmt(a)).replace("\1", _fmt(b)) % tuple(c.tolist())
 
 
 def _svg_parts(grid: DensityGrid, title: str):
@@ -76,13 +75,7 @@ def _svg_parts(grid: DensityGrid, title: str):
     ye = np.concatenate([[xi2[0]], (xi2[1:] + xi2[:-1]) / 2.0, [xi2[-1]]])
     xa, xb = sx(xe[:-1]), sx(xe[1:])
     ya, yb = sy(ye[1:]), sy(ye[:-1])
-    rgb = _colors(vals / vmax)
-    # one xi1 column of <rect>s per part: y and height are formatted once per
-    # row, x and width once per column, and the column's colours by one "%"
-    column = "".join(f'<rect x="\0" y="{_fmt(a)}" width="\1" height="{_fmt(h)}" fill="#%06x"/>\n'
-                     for a, h in zip(ya.tolist(), (yb - ya).tolist()))
-    for a, b, c in zip(xa.tolist(), (xb - xa).tolist(), rgb):
-        yield column.replace("\0", _fmt(a)).replace("\1", _fmt(b)) % tuple(c.tolist())
+    yield from _columns(xa, xb - xa, ya, yb - ya, _colors(vals / vmax))  # a part per xi1 column
     # axes frame and min/max labels
     yield (f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1p - x0)}" '
            f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>\n'
@@ -99,8 +92,8 @@ def _svg_parts(grid: DensityGrid, title: str):
     k = np.arange(n_seg)
     ya = y1p - (k + 1) / n_seg * (y1p - y0)
     yb = y1p - k / n_seg * (y1p - y0)
-    yield _rects(np.full(n_seg, bar_x0), ya, np.full(n_seg, bar_x1 - bar_x0), yb - ya,
-                 _colors((k + 0.5) / n_seg))
+    yield from _columns(np.array([bar_x0]), np.array([bar_x1 - bar_x0]), ya, yb - ya,
+                        _colors((k + 0.5) / n_seg)[None])
     yield (f'<rect x="{_fmt(bar_x0)}" y="{_fmt(y0)}" width="{_fmt(bar_x1 - bar_x0)}" '
            f'height="{_fmt(y1p - y0)}" fill="none" stroke="#000000"/>\n'
            f'<text x="{_fmt(bar_x1)}" y="{_fmt(y1p + 16)}" font-size="11" '
@@ -130,7 +123,4 @@ def emit_svg_heatmap(grid: DensityGrid, path: str, title: str = "") -> str:
     the document, byte-stable for fixed input.  Each axis needs two points."""
     if min(len(grid.xi1), len(grid.xi2)) < 2:  # checked before the file is opened
         raise ParameterError(f"a heatmap axis needs >= 2 points, got {len(grid.xi1)} x {len(grid.xi2)}")
-    try:
-        return write_text(path, _svg_parts(grid, title))
-    except OSError as exc:
-        raise OSError(f"failed to write SVG heatmap to {path!r}: {exc}") from exc
+    return write_text(path, _svg_parts(grid, title))

@@ -5,7 +5,8 @@ composes them.  Most Monte Carlo tolerances are sized at four-plus standard
 errors of their statistic.  Two rows are not: invariant-law/occupation-
 histogram carries the O(dt) bias of its Euler chain and reads about 0.014
 +- 0.004 against its 0.02 tolerance, so it is red at some seeds; and
-local-time/reversal-halving is red by design (see check_local_time).  Every
+local-time/reversal-halving is red by design (see check_local_time), so it is
+listed in KNOWN_RED and does not fail `rankdiff validate`.  Every
 random quantity is keyed to the config seed through fixed sub-streams, so
 the battery is deterministic and its emitted tables are byte-identical
 across runs and worker counts.  Its only settings are the config's seed,
@@ -26,10 +27,12 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import bangbang, classifier, densities, planar, timereversal
-from .core import (BLOCK_CELLS, NORMALIZATION_TOL, InitialState, ModelParams, ParameterError,
+from .core import (NORMALIZATION_TOL, InitialState, ModelParams, ParameterError,
                    SeedSpec, validate_params)
 from .harness import (GofReport, binomial_z, chi2_against_density, gl_points, grid_blocks,
                       grid_values, ks_statistic, ks_two_sample, pmap_batches)
+
+KNOWN_RED = frozenset({"local-time/reversal-halving"})  # rows whose failure is not a regression
 
 # stream id blocks per check, so adding draws to one never shifts another
 _STREAMS = {
@@ -393,9 +396,7 @@ def check_local_time(seed: SeedSpec, n_paths: int = 256) -> List:
     eps = dt**0.4
     y = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, int(round(1.0 / dt)), n_paths, seed.stream(0).generator())[1]
     el = bangbang.tanaka_residual_series(y, last=True)
-    n, rows = len(y) - 1, max(1, BLOCK_CELLS // y.shape[1])  # occupation counted per row block
-    inside = sum((np.abs(y[i:min(i + rows, n)]) < eps).sum(axis=0) for i in range(0, n, rows))
-    rel = np.abs(inside * dt / (4.0 * eps) - el) / el
+    rel = np.abs(bangbang.occupation_local_time(y, dt, eps, last=True) - el) / el
     del y, el  # the halving rows below build their own batches
     reports.append(_report("mean-CI", "local-time/occupation-vs-residual",
                            float(np.median(rel)), 0.10, len(rel),

@@ -14,7 +14,7 @@ import pytest
 
 from rankdiff.cli import main as cli_main
 from rankdiff.core import SeedSpec
-from rankdiff.validation import (check_chapman_kolmogorov, check_classifier,
+from rankdiff.validation import (KNOWN_RED, check_chapman_kolmogorov, check_classifier,
                                  check_euler_vs_exact, check_invariant_law,
                                  check_local_time, check_normalization,
                                  check_path_identities,
@@ -97,8 +97,7 @@ def test_criterion_7_path_identities():
 
 def test_criterion_8_local_time_estimators():
     reports = _timed(check_local_time, SEED.stream(40_000), n_paths=256)
-    _run("criterion-8 local-time", 2.1, reports,  # measured 0.59-0.70 s
-         expect_fail=("local-time/reversal-halving",))
+    _run("criterion-8 local-time", 2.1, reports, expect_fail=KNOWN_RED)  # measured 0.59-0.70 s
 
 
 @pytest.mark.xfail(strict=True,

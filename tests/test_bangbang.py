@@ -99,7 +99,7 @@ def test_invariant_density_values_and_mass():
 def test_zero_noise_skeleton_decays_linearly():
     p = params(1.5)
     n = 1000
-    path = bangbang.simulate_y(p, 1.0, 1.0, n, increments=np.zeros(n))
+    path = bangbang.euler_gap_path(p.lam, 1.0, 1.0, n, increments=np.zeros(n))
     k = 400  # y stays positive until t = y0/lam = 2/3
     expected = 1.0 - 1.5 * path.times[:k]
     np.testing.assert_allclose(path.y_values[:k], expected, atol=1e-12)
@@ -108,10 +108,10 @@ def test_zero_noise_skeleton_decays_linearly():
 
 def test_simulate_reproducible_and_records_noise():
     p = params(2.0)
-    a = bangbang.simulate_y(p, 0.3, 1.0, 500, SeedSpec(9))
-    b = bangbang.simulate_y(p, 0.3, 1.0, 500, SeedSpec(9))
+    a = bangbang.euler_gap_path(p.lam, 0.3, 1.0, 500, SeedSpec(9))
+    b = bangbang.euler_gap_path(p.lam, 0.3, 1.0, 500, SeedSpec(9))
     np.testing.assert_array_equal(a.y_values, b.y_values)
-    redone = bangbang.simulate_y(p, 0.3, 1.0, 500, increments=a.w_increments)
+    redone = bangbang.euler_gap_path(p.lam, 0.3, 1.0, 500, increments=a.w_increments)
     np.testing.assert_array_equal(a.y_values, redone.y_values)
     assert a.l_values[0] == 0.0
     assert np.all(np.diff(a.l_values) >= 0)
@@ -141,7 +141,7 @@ def test_exact_terminal_sampler_matches_euler():
 def test_no_sign_change_means_no_local_time():
     p = params(1.0)
     n = 500
-    path = bangbang.simulate_y(p, 5.0, 0.5, n, increments=np.full(n, 1e-4))
+    path = bangbang.euler_gap_path(p.lam, 5.0, 0.5, n, increments=np.full(n, 1e-4))
     assert np.all(path.y_values > 0)
     assert np.all(path.l_values == 0.0)
 
@@ -159,9 +159,17 @@ def test_tanaka_residual_on_hand_computed_sawtooth():
 def test_occupation_zero_when_path_stays_outside_band():
     p = params(1.0)
     n = 300
-    path = bangbang.simulate_y(p, 3.0, 0.2, n, increments=np.zeros(n))
-    occ = bangbang.occupation_local_time(path, eps=0.5)
-    assert np.all(occ == 0.0)
+    path = bangbang.euler_gap_path(p.lam, 3.0, 0.2, n, increments=np.zeros(n))
+    occ = bangbang.occupation_local_time(path.y_values, 0.2 / n, eps=0.5)
+    assert occ.shape == (n + 1,) and np.all(occ == 0.0)
+
+
+@pytest.mark.parametrize("dt,eps", [(0.01, 0.0), (0.01, -0.5), (0.01, math.nan), (0.0, 0.5), (-0.01, 0.5)])
+def test_occupation_rejects_a_band_or_step_that_is_not_positive(dt, eps):
+    with pytest.raises(ParameterError):
+        bangbang.occupation_local_time(np.zeros((3, 2)), dt, eps)
+    with pytest.raises(ParameterError):
+        bangbang.occupation_local_time(np.zeros((3, 2)), dt, eps, last=True)
 
 
 def test_occupation_estimator_brownian_mean():
@@ -172,7 +180,7 @@ def test_occupation_estimator_brownian_mean():
     dt = 1.0 / n_steps
     eps = dt**0.4
     _, y, _ = bangbang.euler_gap_paths_batch(0.0, 0.0, 1.0, n_steps, n_paths, SeedSpec(21).generator())
-    occ = (np.abs(y[:-1]) < eps).sum(axis=0) * dt / (4 * eps)
+    occ = bangbang.occupation_local_time(y, dt, eps, last=True)
     se = occ.std() / math.sqrt(n_paths)
     assert abs(occ.mean() - oracle) <= 3 * se + 0.01 * oracle
 
@@ -181,7 +189,7 @@ def test_estimator_cross_check_at_fine_step():
     _, y, _ = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, 10_000, 64, SeedSpec(23).generator())
     el = bangbang.tanaka_residual_matrix(y)[-1]
     eps = (1e-4) ** 0.4
-    occ = (np.abs(y[:-1]) < eps).sum(axis=0) * 1e-4 / (4 * eps)
+    occ = bangbang.occupation_local_time(y, 1e-4, eps, last=True)
     assert np.median(np.abs(occ - el) / el) <= 0.10
 
 
@@ -193,7 +201,7 @@ def test_estimators_converge_together_as_dt_shrinks():
         dt = 1.0 / n_steps
         _, y, _ = bangbang.euler_gap_paths_batch(2.0, 0.0, 1.0, n_steps, 256, SeedSpec(100 + j).generator())
         el = bangbang.tanaka_residual_matrix(y)[-1]
-        occ = (np.abs(y[:-1]) < dt**0.4).sum(axis=0) * dt / (4 * dt**0.4)
+        occ = bangbang.occupation_local_time(y, dt, dt**0.4, last=True)
         ok = el > 0.05
         gaps.append(np.median(np.abs(occ[ok] - el[ok]) / el[ok]))
     assert gaps[1] / gaps[0] <= 0.8
@@ -446,15 +454,12 @@ def test_gap_batch_kernels_reject_bad_sizes(kernel, T, n_steps, n_paths):
         getattr(bangbang, kernel)(1.0, 0.0, T, n_steps, n_paths, SeedSpec(1).generator())
 
 
-@pytest.mark.parametrize("kernel", ["euler_gap_path", "simulate_y", "euler_gap_terminal",
-                                    "euler_gap_paths_batch"])
+@pytest.mark.parametrize("kernel", ["euler_gap_path", "euler_gap_terminal", "euler_gap_paths_batch"])
 @pytest.mark.parametrize("T,y0", [(math.inf, 0.3), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
 def test_gap_kernels_reject_non_finite_horizon_or_start(kernel, T, y0):
     with pytest.raises(ParameterError):
         if kernel == "euler_gap_path":
             bangbang.euler_gap_path(1.0, y0, T, 10, SeedSpec(1))
-        elif kernel == "simulate_y":
-            bangbang.simulate_y(params(1.0), y0, T, 10, SeedSpec(1))
         else:
             getattr(bangbang, kernel)(1.0, y0, T, 10, 5, SeedSpec(1).generator())
 
@@ -653,6 +658,11 @@ def skorokhod_whole(y, dw, times, lam):
     return np.maximum.accumulate(np.maximum(-(np.abs(y[0]) + v_flat - lam * grid), 0.0), axis=0)
 
 
+def occupation_whole(y, dt, eps):
+    # the count criterion 8 takes, in one sum: integer sums are exact in any order
+    return (np.abs(y[:-1]) < eps).sum(axis=0) * dt / (4.0 * eps)
+
+
 def assert_same_bytes(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -666,6 +676,12 @@ def assert_scans_exact(y, dw, times, lam=1.5):
     # the last row alone
     assert_same_bytes(bangbang.tanaka_residual_series(y, last=True), tanaka[-1])
     assert_same_bytes(bangbang.skorokhod_local_time_series(y, dw, times, lam, last=True), skorokhod[-1])
+    # the occupation estimator: its blocked count, and the series ending in it
+    occupation = bangbang.occupation_local_time(y, 0.01, 0.5, last=True)
+    assert_same_bytes(occupation, occupation_whole(y, 0.01, 0.5))
+    series = bangbang.occupation_local_time(y, 0.01, 0.5)
+    assert series.shape == y.shape and not series[:1].any()
+    assert_same_bytes(series[-1], occupation)
 
 
 def lattice_batch(n_rows, n_cols, seed):

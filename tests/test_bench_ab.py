@@ -1,5 +1,5 @@
 """The A/B summary of scripts/bench_ab.py on synthetic runs: the gain rule,
-the no-regression bound and the unresolved verdict."""
+the no-regression bound, the unresolved verdict and the run-order gaps."""
 
 import importlib.util
 import os
@@ -55,3 +55,13 @@ def test_higher_is_better_beats_all_in_its_own_direction():
     worse = summary(parent, [(10.0, 40.0 - k, 0.0) for k in range(7)])["ops_per_s"]
     assert not better["unresolved"] and better["within_bound"]
     assert worse["unresolved"] and not worse["within_bound"]
+
+
+def test_run_order_gaps_split_the_pairs_by_which_side_ran_first():
+    # the parent runs first in even pairs; only the change-first pairs carry a 0.5 s offset
+    parent = [(10.0 + 0.1 * k, 100.0, 0.0) for k in range(10)]
+    change = [(9.0 + 0.1 * k + (0.5 if k % 2 else 0.0), 100.0, 0.0) for k in range(10)]
+    m = summary(parent, change)["wall_s"]
+    assert m["gap_parent_first"] == pytest.approx(-1.0)
+    assert m["gap_change_first"] == pytest.approx(-0.5)
+    assert m["wins"] == 10  # the verdicts read every pair, whichever side ran first

@@ -98,6 +98,8 @@ def test_classify_single_and_enumerate(tmp_path, capsys):
 def test_classify_requires_config_or_enumerate(tmp_path, capsys):
     code = run(["classify", "--rho", "0.8", "--sigma", "0.6", "--out-dir", str(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err == ("rankdiff classify: need --enumerate or all of "
+                                       "--eps --delta --phi --vartheta\n")
 
 
 def test_reverse_emits_drift_profile(tmp_path, capsys):
@@ -274,9 +276,9 @@ def test_validate_quick_pass_fail_and_fault_injection(tmp_path, capsys, monkeypa
     from rankdiff import validation
 
     args = ["validate", "--scale", "0.002", "--seed", "20240601", "--out-dir", str(tmp_path)]
-    # the exit code is 1 on every run (one row is red by design), so the
-    # contract is read from the normalization row: PASS as built, FAIL once
-    # the transition density the battery integrates is off by 1%
+    # at this scale the exit code is 1 on every run (small-sample Monte Carlo
+    # rows fail), so the contract is read from the normalization row: PASS as
+    # built, FAIL once the transition density the battery integrates is off by 1%
     assert run(args) == 1
     assert "PASS normalization/transition-density-grid" in capsys.readouterr().out
     density = validation.bangbang.transition_density
@@ -284,6 +286,25 @@ def test_validate_quick_pass_fail_and_fault_injection(tmp_path, capsys, monkeypa
                         lambda *a, **k: 1.01 * density(*a, **k))
     assert run(args) == 1
     assert "FAIL normalization/transition-density-grid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("failing,code", [
+    ((), 0), (("local-time/reversal-halving",), 0),
+    (("normalization/isotropic",), 1), (("local-time/reversal-halving", "normalization/isotropic"), 1),
+], ids=["none", "known-red", "other", "both"])
+def test_validate_exits_1_only_for_a_failing_row_outside_known_red(tmp_path, monkeypatch, failing, code):
+    from rankdiff import cli
+    from rankdiff.harness import GofReport
+    from rankdiff.validation import KNOWN_RED
+
+    assert KNOWN_RED == {"local-time/reversal-halving"}
+    names = ["local-time/reversal-halving", "normalization/isotropic", "reversal/steady-drift-exact"]
+    reports = [GofReport("sup", n, 1.0 if n in failing else 0.0, 0.5, 1) for n in names]
+    monkeypatch.setattr(cli, "run_validation_suite", lambda cfg: reports)
+    assert run(["validate", "--out-dir", str(tmp_path)]) == code
+    lines = read_lines(tmp_path / "validation_reports.csv")
+    assert lines[1] == "kind,name,statistic,tolerance,mode,n,p_value,passed,note"
+    assert [line.split(",")[7] for line in lines[2:]] == ["0" if n in failing else "1" for n in names]
 
 
 def test_tanaka_cli_labels_output_illustrative(tmp_path, capsys):
@@ -300,6 +321,20 @@ def test_tanaka_cli_labels_output_illustrative(tmp_path, capsys):
 def test_tanaka_bad_dts_usage_error(tmp_path, capsys):
     code = run(["tanaka", "--dts", "abc", "--out-dir", str(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err == "rankdiff tanaka: --dts must be comma-separated floats\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--enumerate", "--out-dir", "{file}/sub"],
+    ["density", "--xi-n", "5", "--out-dir", "{dir}", "--svg", "{file}/h.svg"],
+], ids=["classify-out-dir", "density-svg"])
+def test_an_output_path_under_a_regular_file_is_an_io_error_on_one_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    code = run([a.format(file=tmp_path / "file", dir=tmp_path / "out") for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"rankdiff {argv[0]}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(tmp_path / "file") in err
 
 
 @pytest.mark.parametrize("flag", ["--reps=0", "--dts=0", "--dts=-1e-2"])

@@ -259,13 +259,13 @@ def test_public_names_pinned():
         "YPath", "atom_density", "atom_line_density", "atom_mass",
         "backward_drift", "backward_rank_drift_report", "bangbang", "build_config",
         "classifier", "core", "densities", "density_grid", "emit_svg_heatmap",
-        "enumerate_diagonal_roots", "euler_simulate", "euler_terminal_batch",
+        "enumerate_diagonal_roots", "euler_gap_path", "euler_simulate", "euler_terminal_batch",
         "exact_sample_terminal", "front_jump", "gap_path_of", "harness", "invariant_density",
         "joint_density_degenerate", "joint_density_isotropic", "noise_bundle",
         "occupation_local_time", "planar", "planar_atom", "planar_density", "psi_density",
         "q_function", "quadrivariate_atom_density", "quadrivariate_density",
         "rank_density_degenerate", "rank_residuals", "ranks", "run_validation_suite",
-        "sample_triples", "sign", "simulate_backward", "simulate_y",
+        "sample_triples", "sign", "simulate_backward",
         "skew_construct", "strength", "svgplot", "tails", "tanaka_coalescence_experiment",
         "timereversal", "transition_density", "triple_density",
         "validate_params", "validation",

@@ -144,7 +144,7 @@ def test_noise_readers_reject_skew_paths():
 
 def _skew_inputs(p, s0, n=1500, seed=19):
     rng = SeedSpec(seed).generator()
-    ypath = bangbang.simulate_y(p, s0.y, 1.0, n, rng)
+    ypath = bangbang.euler_gap_path(p.lam, s0.y, 1.0, n, rng)
     q_inc = rng.standard_normal(n) * math.sqrt(1.0 / n)
     return ypath, q_inc
 
